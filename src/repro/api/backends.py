@@ -83,7 +83,7 @@ _FBISA_MEMO = hotpath.Memo("fbisa-compilations")
 def _compile_fbisa(network: Network, block: int):
     """Compile ``network`` at ``block``, memoized for shared networks."""
     build = lambda: compile_network(network, input_block=block)  # noqa: E731
-    if (getattr(network, "metadata", {}) or {}).get("shared"):
+    if hotpath.is_shared(network):
         return _FBISA_MEMO.get_or_attr(network, block, build)
     return build()
 

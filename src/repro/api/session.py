@@ -274,9 +274,13 @@ class Session:
 
         Freshly compiled plans are statically verified by default (see the
         ``verify`` session flag): verification runs inside the cached
-        computation, so it is paid once per content address and a plan with
-        error-level diagnostics never enters the cache — the call raises
-        :class:`~repro.check.PlanVerificationError` carrying the report.
+        computation, so a plan with error-level diagnostics never enters the
+        cache — the call raises :class:`~repro.check.PlanVerificationError`
+        carrying the report.  Every fresh compile is verified, but only the
+        config-bound checks (block-buffer capacity, parameter memory, block
+        residency and shapes) are recomputed each time; the config-free
+        findings are computed once per shared compiled model per process
+        (see :func:`repro.check.verify_plan`).
         """
         entry = self.workload(workload_name)
 

@@ -25,6 +25,17 @@ single pixel is served.  This module decides them:
     analysis through each instruction's layer stack (ECNN130/131) and
     unused parameter segments (ECNN141).
 
+Config-free vs config-bound.  Of the program checks, only block-buffer
+capacity (ECNN120/122) and the parameter-memory footprint (ECNN121) depend
+on the :class:`~repro.hw.config.EcnnConfig`; structural dataflow, operand
+Q-formats, dead code, interval analysis and parameter segments are a pure
+function of the compiled model.  ``verify_plan`` computes that config-free
+half once per compiled model of a *shared* network per process (the
+``verifier-findings`` hot-path memo, stored on the model next to the
+``fbisa-compilations`` entry it came from) and re-runs the config-bound
+half — including :func:`verify_network` — on every call.  The report is the
+same either way: same diagnostics, same order.
+
 Capacity model (ECNN120).  A block buffer stores one 32-channel group
 (:class:`repro.hw.blockbuffer.BlockBuffer`), so the per-operand bound is
 ``stored_pixels * 32 bytes <= block_buffer_kb * 1024`` where
@@ -40,11 +51,13 @@ single ECNN122 info: that mode streams row bands, not resident blocks.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.check.diagnostics import CheckReport
+from repro import hotpath
+from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.fbisa.compiler import CompiledModel, InstructionSemantics
 from repro.fbisa.isa import InferenceType, Instruction, Opcode
 from repro.fbisa.program import Program
@@ -79,6 +92,13 @@ _STRUCTURAL_RULES = {
 #: Relative interval overshoot below which ECNN131 stays quiet — one LSB of
 #: rounding slack, so exact-fit formats don't produce noise findings.
 _CLIP_SLACK = 1e-9
+
+#: Process-level memo of the config-free findings of compiled models of
+#: *shared* networks.  Entries live on the
+#: :class:`~repro.fbisa.compiler.CompiledModel` itself
+#: (:meth:`repro.hotpath.Memo.get_or_attr`); plans of fresh (mutable)
+#: networks are always re-analysed.
+_FINDINGS_MEMO = hotpath.Memo("verifier-findings")
 
 
 class PlanVerificationError(ValueError):
@@ -318,6 +338,61 @@ def _dead_instructions(program: Program) -> List[int]:
     return sorted(set(dead))
 
 
+@dataclass(frozen=True)
+class _Findings:
+    """The config-free diagnostics of one program, in report order.
+
+    They sit on either side of the config-bound capacity checks
+    (ECNN120-122), which :func:`_report_program` slots in between.
+    """
+
+    #: Structural dataflow (ECNN110-114) and operand Q-formats (ECNN150).
+    head: Tuple[Diagnostic, ...]
+    #: Dead code (ECNN140); for a compiled model also ECNN130/131/141.
+    tail: Tuple[Diagnostic, ...]
+    #: An empty program stops at ECNN113/114: no capacity or dead-code checks.
+    empty: bool
+
+
+def _program_findings(program: Program) -> _Findings:
+    """Structural dataflow, operand Q-formats and dead code of ``program``."""
+    head = CheckReport(subject=program.name)
+    for violation in program.structural_violations():
+        if violation.kind == "empty":
+            head.add("ECNN113", violation.message)
+            head.add("ECNN114", violation.message)
+            return _Findings(head=tuple(head.diagnostics), tail=(), empty=True)
+        location = ""
+        if violation.index is not None and violation.opcode is not None:
+            location = f"line {violation.index} ({violation.opcode.value})"
+        head.add(_STRUCTURAL_RULES[violation.kind], violation.message, location=location)
+    for index, instruction in enumerate(program):
+        _check_operand_formats(head, index, instruction)
+    tail = CheckReport(subject=program.name)
+    for index in _dead_instructions(program):
+        instruction = program.instructions[index]
+        tail.add(
+            "ECNN140",
+            f"output in {instruction.dst.buffer.value} is overwritten or "
+            "never consumed",
+            location=f"line {index} ({instruction.opcode.value})",
+        )
+    return _Findings(
+        head=tuple(head.diagnostics), tail=tuple(tail.diagnostics), empty=False
+    )
+
+
+def _report_program(
+    report: CheckReport, program: Program, findings: _Findings, config: EcnnConfig
+) -> None:
+    """Add ``findings`` to ``report`` with the config-bound checks slotted in."""
+    report.diagnostics.extend(findings.head)
+    if not findings.empty:
+        _check_capacity(report, program, config)
+        _check_parameter_memory(report, program, config)
+    report.diagnostics.extend(findings.tail)
+
+
 def verify_program(
     program: Program,
     *,
@@ -330,27 +405,7 @@ def verify_program(
     (ECNN121) and dead instructions (ECNN140).
     """
     report = CheckReport(subject=f"program:{program.name}")
-    for violation in program.structural_violations():
-        if violation.kind == "empty":
-            report.add("ECNN113", violation.message)
-            report.add("ECNN114", violation.message)
-            return report
-        location = ""
-        if violation.index is not None and violation.opcode is not None:
-            location = f"line {violation.index} ({violation.opcode.value})"
-        report.add(_STRUCTURAL_RULES[violation.kind], violation.message, location=location)
-    for index, instruction in enumerate(program):
-        _check_operand_formats(report, index, instruction)
-    _check_capacity(report, program, config)
-    _check_parameter_memory(report, program, config)
-    for index in _dead_instructions(program):
-        instruction = program.instructions[index]
-        report.add(
-            "ECNN140",
-            f"output in {instruction.dst.buffer.value} is overwritten or "
-            "never consumed",
-            location=f"line {index} ({instruction.opcode.value})",
-        )
+    _report_program(report, program, _program_findings(program), config)
     return report
 
 
@@ -427,6 +482,15 @@ def _check_parameter_segments(report: CheckReport, model: CompiledModel) -> None
             )
 
 
+def _model_findings(model: CompiledModel) -> _Findings:
+    """Every config-free finding of a compiled model (see :class:`_Findings`)."""
+    findings = _program_findings(model.program)
+    tail = CheckReport(subject=model.program.name)
+    _check_intervals(tail, model.program, model.semantics)
+    _check_parameter_segments(tail, model)
+    return replace(findings, tail=findings.tail + tuple(tail.diagnostics))
+
+
 def _plan_case_study(plan) -> Optional[str]:
     metadata = getattr(plan.network, "metadata", {}) or {}
     value = metadata.get("case_study")
@@ -459,6 +523,10 @@ def verify_plan(
     accounting.  ``config`` defaults to the session configuration the plan
     was compiled under (``DEFAULT_CONFIG`` if unknown); the recognition case
     study is checked against its tripled parameter memory, as evaluated.
+
+    The config-free findings of a shared network's compiled model are
+    computed once per process and reused; the config-bound checks run on
+    every call.
     """
     base = config if config is not None else DEFAULT_CONFIG
     if _plan_case_study(plan) == "recognition":
@@ -470,7 +538,10 @@ def verify_plan(
     report.extend(verify_network(plan.network, input_block=block, config=base))
     model = plan.payload
     if isinstance(model, CompiledModel):
-        report.extend(verify_program(model.program, config=base))
-        _check_intervals(report, model.program, model.semantics)
-        _check_parameter_segments(report, model)
+        build = lambda: _model_findings(model)  # noqa: E731
+        if hotpath.is_shared(plan.network):
+            findings = _FINDINGS_MEMO.get_or_attr(model, None, build)
+        else:
+            findings = build()
+        _report_program(report, model.program, findings, base)
     return report

@@ -4,8 +4,8 @@ The runtime's :class:`~repro.runtime.cache.ResultCache` content-addresses
 *answers* (profiles, plans, costs) per cache instance; this module memoizes
 the deterministic *inputs* those answers are computed from — catalogue
 network builds, FBISA compilations of shared networks, per-program block
-reports — which every fresh cache or session otherwise recomputes from
-scratch.  The two layers compose: the ResultCache makes a question free the
+reports, the config-free verifier findings of compiled models — which every
+fresh cache or session otherwise recomputes from scratch.  The two layers compose: the ResultCache makes a question free the
 second time *one session* asks it, the hot-path memos make the underlying
 construction free the second time *any* session in the process needs it.
 
@@ -127,6 +127,16 @@ class Memo:
             entries=len(self._entries),
             enabled=self.enabled,
         )
+
+
+def is_shared(obj: Any) -> bool:
+    """Whether ``obj`` carries the ``shared`` metadata marker.
+
+    Shared objects are frozen by contract (see the module docstring), so
+    only they may key a :meth:`Memo.get_or_attr` store whose value derives
+    from their contents.
+    """
+    return bool((getattr(obj, "metadata", {}) or {}).get("shared"))
 
 
 def memo(name: str) -> Memo:

@@ -4,8 +4,9 @@ Design constraints (enforced by lint rule ECNN207 and the registry):
 
 * **numba is never imported at module import time** — importing this module
   must succeed in a no-numba environment, because the registry imports every
-  set module to register it.  The probe is ``importlib.util.find_spec``; the
-  real import happens inside :meth:`NumbaKernelSet.warmup`.
+  set module to register it.  The probe is ``importlib.util.find_spec``, run
+  once per process (every ``Session`` asks); the real import happens inside
+  :meth:`NumbaKernelSet.warmup`.
 * **compilation happens in ``warmup()``, off the hot path** — the first
   ``Session`` selecting this set pays the JIT once; the compiled bundle is
   memoized, so repeated selection (and every later call) reuses it.
@@ -26,11 +27,18 @@ tensor shape for free.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 
 import numpy as np
 
 from repro.kernels import KernelUnavailableError, register_kernel
+
+
+@functools.lru_cache(maxsize=None)
+def _numba_installed() -> bool:
+    """Whether numba is importable; probed once per process."""
+    return importlib.util.find_spec("numba") is not None
 
 
 def _compile_kernels():
@@ -134,7 +142,7 @@ class NumbaKernelSet:
 
     def available(self) -> bool:
         """Probe for numba without importing it (cheap, import-safe)."""
-        return importlib.util.find_spec("numba") is not None
+        return _numba_installed()
 
     def warmup(self):
         """Compile and JIT-prime every kernel; memoized (same bundle object)."""

@@ -278,7 +278,12 @@ class TestRegressionEdgeCases:
 class TestHotPathMemos:
     def test_memos_are_registered(self):
         names = {memo.name for memo in hotpath.all_memos()}
-        assert {"catalogue-networks", "fbisa-compilations", "block-reports"} <= names
+        assert {
+            "catalogue-networks",
+            "fbisa-compilations",
+            "block-reports",
+            "verifier-findings",
+        } <= names
 
     def test_shared_network_is_memoized_and_marked(self):
         hotpath.clear_all()

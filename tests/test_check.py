@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import hotpath
 from repro.api import Session, available_backends
 from repro.api.results import CompiledPlan
 from repro.check import (
@@ -46,6 +47,7 @@ from repro.fbisa.program import (
     ProgramValidationError,
     instruction_violations,
 )
+from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.nn.layers import Conv2d, ReLU
 from repro.nn.network import Sequential
 from repro.nn.tensor import FeatureMap
@@ -253,33 +255,118 @@ class TestProgramValidationContext:
 
 
 # ----------------------------------------------------------- interval checks
+def _ecnn_plan(network, block=64) -> CompiledPlan:
+    """An ecnn plan of ``network`` compiled directly (never memoized)."""
+    return CompiledPlan(
+        backend="ecnn",
+        model_name=network.name,
+        spec_name="HD30",
+        network=network,
+        spec=SPECIFICATIONS["HD30"],
+        input_block=block,
+        payload=compile_network(network, input_block=block),
+    )
+
+
 class TestIntervalAnalysis:
-    def _plan(self, network, block=64):
-        model = compile_network(network, input_block=block)
-        return CompiledPlan(
-            backend="ecnn",
-            model_name=network.name,
-            spec_name="HD30",
-            network=network,
-            spec=SPECIFICATIONS["HD30"],
-            input_block=block,
-            payload=model,
-        )
 
     def test_guaranteed_overflow_bias_is_ecnn130(self):
         conv = Conv2d(3, 32, 3, seed=1)
         conv.bias[:] = 1000.0  # lifts the whole interval far above Q6's 1.98
         network = Sequential([conv, ReLU()], name="hotbias")
-        report = verify_plan(self._plan(network))
+        report = verify_plan(_ecnn_plan(network))
         assert "ECNN130" in _rule_ids(report)
         assert not report.ok
 
     def test_mild_range_excess_is_clipping_info(self):
         network = Sequential([Conv2d(3, 32, 3, seed=1), ReLU()], name="mild")
-        report = verify_plan(self._plan(network))
+        report = verify_plan(_ecnn_plan(network))
         assert report.ok
         assert "ECNN130" not in _rule_ids(report)
         assert "ECNN131" in _rule_ids(report)
+
+
+class TestVerifierFindingsMemo:
+    """The config-free findings memo never changes a report."""
+
+    #: Default, plus infeasible points: 384 KB buffers cannot hold the
+    #: 128-px blocks (ECNN120), a 256 KB parameter memory is too small for
+    #: every model's raw parameters (ECNN121).
+    CONFIGS = (
+        DEFAULT_CONFIG,
+        EcnnConfig(block_buffer_kb=384),
+        EcnnConfig(parameter_memory_kb=256),
+        EcnnConfig(block_buffer_kb=768, num_block_buffers=2),
+    )
+
+    @staticmethod
+    def _findings(report: CheckReport) -> list:
+        return [report.subject] + [
+            (d.rule_id, d.severity, d.message, d.location)
+            for d in report.diagnostics
+        ]
+
+    @pytest.mark.parametrize(
+        "config",
+        CONFIGS,
+        ids=lambda c: f"bb{c.block_buffer_kb}-pm{c.parameter_memory_kb}",
+    )
+    def test_cold_warm_and_disabled_reports_are_identical(self, config):
+        memo = hotpath.memo("verifier-findings")
+        session = Session(config=config, cache=ResultCache(), verify=False)
+        seen = set()
+        for workload in session.catalogue():
+            # A fresh compiled model (of the shared network) starts cold.
+            with hotpath.disabled("fbisa-compilations"):
+                plan = session.compile(workload)
+            before = memo.stats
+            cold = verify_plan(plan, config=config)
+            warm = verify_plan(plan, config=config)
+            with hotpath.disabled("verifier-findings"):
+                bypassed = verify_plan(plan, config=config)
+            after = memo.stats
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+            assert self._findings(cold) == self._findings(warm) == self._findings(bypassed)
+            seen.update(_rule_ids(cold))
+        if config.block_buffer_kb == 384:
+            assert "ECNN120" in seen
+        if config.parameter_memory_kb == 256:
+            assert "ECNN121" in seen
+
+    def test_plan_report_is_network_then_program_then_semantic_findings(self):
+        config = EcnnConfig(block_buffer_kb=384, parameter_memory_kb=256)
+        plan = Session(config=config, cache=ResultCache(), verify=False).compile(
+            "super_resolution"
+        )
+        report = verify_plan(plan, config=config)
+        network = verify_network(
+            plan.network, input_block=plan.input_block, config=config
+        )
+        program = verify_program(plan.payload.program, config=config)
+        head = network.diagnostics + program.diagnostics
+        assert {"ECNN120", "ECNN121"} <= {d.rule_id for d in head}
+        assert report.diagnostics[: len(head)] == head
+        rest = {d.rule_id for d in report.diagnostics[len(head):]}
+        assert rest and rest <= {"ECNN130", "ECNN131", "ECNN141"}
+
+    def test_memoized_plan_still_rejects_infeasible_configs(self):
+        config = EcnnConfig(block_buffer_kb=384)
+        Session(cache=ResultCache()).compile("denoise")  # warms the memo
+        with pytest.raises(PlanVerificationError) as excinfo:
+            Session(config=config, cache=ResultCache()).compile("denoise")
+        assert "ECNN120" in _rule_ids(excinfo.value.report)
+
+    def test_unshared_plans_never_touch_the_memo(self):
+        memo = hotpath.memo("verifier-findings")
+        network = Sequential([Conv2d(3, 32, 3, seed=1), ReLU()], name="fresh")
+        fresh = Session(cache=ResultCache()).network("denoise")
+        assert not hotpath.is_shared(network) and not hotpath.is_shared(fresh)
+        before = memo.stats
+        for plan in (_ecnn_plan(network), _ecnn_plan(fresh, block=128)):
+            first = verify_plan(plan)
+            assert self._findings(verify_plan(plan)) == self._findings(first)
+        after = memo.stats
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # ------------------------------------------------------------------- fuzzing
