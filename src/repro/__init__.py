@@ -36,9 +36,7 @@ Subpackages
     protocol and registry (eCNN plus every baseline as a pluggable backend),
     the :class:`~repro.api.session.Session` owning backend/cache/workload
     selection, and the frozen :class:`~repro.api.results.PerfProfile` /
-    :class:`~repro.api.results.CostReport` result types.  (The old
-    direct-module entry points ``analyze_performance`` / ``analyze_area``
-    survive only as ``DeprecationWarning`` shims pointing here.)
+    :class:`~repro.api.results.CostReport` result types.
 ``repro.bench``
     The performance harness: a scenario suite over the serving hot paths,
     ``BENCH_<n>.json`` reports and the ``repro-bench`` CLI.

@@ -130,21 +130,15 @@ class _WholeFrameExecutionMixin:
     exact.  Frames smaller than the block execute as a single piece.
     """
 
-    def execute(
-        self, plan: CompiledPlan, frame: FeatureMap, *, parallel: bool = True
-    ) -> InferenceResult:
+    def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
         block = max(
             frame.height, frame.width, recommended_input_block(plan.network)
         )
         pipeline = BlockInferencePipeline(plan.network, input_block=block)
-        return pipeline.run(frame, parallel=parallel)
+        return pipeline.run(frame)
 
     def execute_batch(
-        self,
-        plan: CompiledPlan,
-        frames: Sequence[FeatureMap],
-        *,
-        parallel: bool = True,
+        self, plan: CompiledPlan, frames: Sequence[FeatureMap]
     ) -> List[InferenceResult]:
         """Run several frames; same-shaped frames share fused passes."""
         if not frames:
@@ -155,7 +149,7 @@ class _WholeFrameExecutionMixin:
             recommended_input_block(plan.network),
         )
         pipeline = BlockInferencePipeline(plan.network, input_block=block)
-        return pipeline.run_batch(frames, parallel=parallel)
+        return pipeline.run_batch(frames)
 
 
 @register_backend
@@ -319,18 +313,12 @@ class EcnnBackend:
             program.total_weights + program.total_biases, streaming_gb_s
         )
 
-    def execute(
-        self, plan: CompiledPlan, frame: FeatureMap, *, parallel: bool = True
-    ) -> InferenceResult:
+    def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
         pipeline = BlockInferencePipeline(plan.network, input_block=plan.input_block)
-        return pipeline.run(frame, parallel=parallel)
+        return pipeline.run(frame)
 
     def execute_batch(
-        self,
-        plan: CompiledPlan,
-        frames: Sequence[FeatureMap],
-        *,
-        parallel: bool = True,
+        self, plan: CompiledPlan, frames: Sequence[FeatureMap]
     ) -> List[InferenceResult]:
         """Run several frames, pooling truncated-pyramid blocks across all.
 
@@ -339,7 +327,7 @@ class EcnnBackend:
         fused network pass.
         """
         pipeline = BlockInferencePipeline(plan.network, input_block=plan.input_block)
-        return pipeline.run_batch(frames, parallel=parallel)
+        return pipeline.run_batch(frames)
 
     def cost(self) -> CostReport:
         report = area_report(self.config)

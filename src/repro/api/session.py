@@ -327,9 +327,7 @@ class Session:
             raise ValueError("recognition serves single zero-padded blocks, not block flow")
         return entry
 
-    def _frame_key(
-        self, entry: RuntimeWorkload, frame: FeatureMap, parallel: bool
-    ) -> str:
+    def _frame_key(self, entry: RuntimeWorkload, frame: FeatureMap) -> str:
         """Content address of one frame's pixel result under this session."""
         import hashlib
 
@@ -350,7 +348,6 @@ class Session:
             frame.data.dtype.str,
             frame.qformat,
             digest,
-            parallel,
         )
 
     def execute(
@@ -358,7 +355,6 @@ class Session:
         workload_name: str,
         frame: FeatureMap,
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> InferenceResult:
         """Run one frame of pixels through the backend's compiled plan.
@@ -366,8 +362,6 @@ class Session:
         Only block-flow workloads support pixel serving (recognition runs
         single zero-padded blocks, as in the legacy engine path).
 
-        ``parallel`` selects the block-parallel fused execution (default) or
-        the scalar one-block-at-a-time flow; outputs are bit-identical.
         With ``cached=True`` results are content-addressed in the session's
         bounded :attr:`frame_cache`, so serving the same frame twice is a
         lookup — pass ``cached=False`` to force a fresh computation (the
@@ -375,20 +369,17 @@ class Session:
         """
         entry = self._pixel_entry(workload_name)
         compute = lambda: self.backend.execute(  # noqa: E731
-            self.compile(workload_name), frame, parallel=parallel
+            self.compile(workload_name), frame
         )
         if not cached:
             return compute()
-        return self.frame_cache.get_or_compute(
-            self._frame_key(entry, frame, parallel), compute
-        )
+        return self.frame_cache.get_or_compute(self._frame_key(entry, frame), compute)
 
     def execute_many(
         self,
         workload_name: str,
         frames: Sequence[FeatureMap],
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> List[InferenceResult]:
         """Run several frames of one workload, batched across frames.
@@ -406,7 +397,7 @@ class Session:
             seen: Dict[str, List[int]] = {}
             keys: List[str] = []
             for index, frame in enumerate(frames):
-                key = self._frame_key(entry, frame, parallel)
+                key = self._frame_key(entry, frame)
                 keys.append(key)
                 if key in self.frame_cache:
                     results[index] = self.frame_cache.get_or_compute(
@@ -425,14 +416,9 @@ class Session:
             plan = self.compile(workload_name)
             batch = getattr(self.backend, "execute_batch", None)
             if callable(batch):
-                fresh = batch(
-                    plan, [frames[index] for index in misses], parallel=parallel
-                )
+                fresh = batch(plan, [frames[index] for index in misses])
             else:
-                fresh = [
-                    self.backend.execute(plan, frames[index], parallel=parallel)
-                    for index in misses
-                ]
+                fresh = [self.backend.execute(plan, frames[index]) for index in misses]
             for index, result in zip(misses, fresh):
                 if cached:
                     self.frame_cache.get_or_compute(
@@ -496,7 +482,6 @@ class Session:
         *,
         threshold: float = 0.0,
         metric: str = "mae",
-        parallel: bool = True,
         output_block: Optional[int] = None,
     ) -> "StreamFrameResult":
         """Serve the next ordered frame of a video stream by block deltas.
@@ -515,7 +500,7 @@ class Session:
             metric=metric,
             output_block=output_block,
         )
-        return stream.submit(frame, parallel=parallel)
+        return stream.submit(frame)
 
     @property
     def video_stream_stats(self) -> Tuple["VideoStreamStats", ...]:

@@ -19,13 +19,13 @@ Scenario families (see ``docs/performance.md`` for the full reading guide):
 * ``cluster_frames`` — pixel serving *through the cluster*: a batch of
   distinct frames scattered across worker processes
   (:meth:`ServingCluster.execute_frames`) against the in-process per-frame
-  scalar baseline, outputs verified bit-identical;
+  baseline, outputs verified bit-identical;
 * ``soak_chaos`` — the soak & chaos tier (:mod:`repro.soak`): thousands of
   Poisson requests replayed through :class:`ServingCluster` at 1/2/4
   workers with a ``kill-worker@50%`` injected mid-run, recording the
   max-sustainable-fps capacity curve (monotonic in the worker count),
   proving exactly-once request accounting and re-verifying post-chaos
-  pixels bit-identical to the single-process scalar reference;
+  pixels bit-identical to the single-process reference;
 * ``gateway_slo`` — the SLO-gateway A/B (:mod:`repro.gateway`): a seeded
   bursty overload trace served FIFO with no admission control (baseline)
   vs through :class:`~repro.gateway.SLOGateway` with the EDF policy on
@@ -39,13 +39,12 @@ Scenario families (see ``docs/performance.md`` for the full reading guide):
   same frame are answered from the session's content-addressed frame
   cache);
 * ``execute_frame_parallel`` — the pixel A/B scenario: one frame served
-  fresh through the scalar flow (baseline), fresh through the
-  block-parallel fused flow, and through the cached serving steady state
-  (optimized), verifying on every run that all three produce bit-identical
-  pixels;
+  fresh through the block-parallel flow (baseline) and through the cached
+  serving steady state (optimized), verifying on every run that both
+  produce bit-identical pixels;
 * ``execute_frames_batch`` — the cross-frame batch path
   (:meth:`Session.execute_many`): a batch of distinct frames served in
-  fused passes, verified bit-for-bit against per-frame scalar execution;
+  fused passes, verified bit-for-bit against fresh per-frame execution;
 * ``video_stream`` — the video delta-reuse A/B: seeded static / panning /
   scene-cut camera sequences served frame by frame, full block inference
   (baseline) vs :class:`~repro.runtime.video.VideoStream` exact-reuse
@@ -309,16 +308,15 @@ def _cluster_frames_scenario(size: int = 64, frames: int = 16, workers: int = 2)
     images = [synthetic_image(size, size, seed=seed) for seed in range(frames)]
 
     def setup() -> None:
-        session.execute("denoise", images[0], parallel=False, cached=False)
+        session.execute("denoise", images[0], cached=False)
 
     def run(recorder: PhaseRecorder) -> ScenarioOutcome:
-        with recorder.phase("scalar"):
+        with recorder.phase("per_frame"):
             start = time.perf_counter()
             reference = [
-                session.execute("denoise", image, parallel=False, cached=False)
-                for image in images
+                session.execute("denoise", image, cached=False) for image in images
             ]
-            scalar_s = time.perf_counter() - start
+            per_frame_s = time.perf_counter() - start
         with recorder.phase("spawn"):
             cluster = ServingCluster(
                 workers=workers,
@@ -344,9 +342,9 @@ def _cluster_frames_scenario(size: int = 64, frames: int = 16, workers: int = 2)
             units=float(frames),
             figures=(("output_mean_abs", mean_abs),),
             extra=(
-                ("baseline_s", scalar_s),
+                ("baseline_s", per_frame_s),
                 ("optimized_s", cluster_s),
-                ("speedup", scalar_s / cluster_s),
+                ("speedup", per_frame_s / cluster_s),
             ),
         )
 
@@ -356,7 +354,7 @@ def _cluster_frames_scenario(size: int = 64, frames: int = 16, workers: int = 2)
             f"cluster pixel serving: {frames} distinct {size}x{size} denoise "
             f"frames scattered across {workers} worker shards "
             "(ServingCluster.execute_frames), verified bit-for-bit against "
-            "in-process per-frame scalar execution; the recorded speedup is "
+            "in-process per-frame execution; the recorded speedup is "
             "core-bound (about parity on a single-core machine)"
         ),
         backends=("ecnn",),
@@ -435,7 +433,7 @@ def _soak_chaos_scenario(
             "records the max-sustainable-fps capacity curve (must increase "
             "monotonically), proves exactly-once request accounting, and "
             "re-verifies post-chaos pixels bit-identical to the "
-            "single-process scalar reference on every run"
+            "single-process reference on every run"
         ),
         backends=("ecnn",),
         unit="requests",
@@ -640,24 +638,15 @@ def _execute_frame_parallel_scenario(size: int = 96, serving_passes: int = 5):
     image = synthetic_image(size, size, seed=7)
 
     def setup() -> None:
-        # Prime the plan compile and process memos so the scalar baseline
+        # Prime the plan compile and process memos so the fresh baseline
         # phase of the first repeat measures execution, not a cold build.
-        session.execute("denoise", image, parallel=False, cached=False)
+        session.execute("denoise", image, cached=False)
 
     def run(recorder: PhaseRecorder) -> ScenarioOutcome:
-        with recorder.phase("scalar"):
+        with recorder.phase("fresh"):
             start = time.perf_counter()
-            scalar = session.execute("denoise", image, parallel=False, cached=False)
-            scalar_s = time.perf_counter() - start
-        with recorder.phase("parallel"):
-            start = time.perf_counter()
-            fused = session.execute("denoise", image, parallel=True, cached=False)
-            parallel_fresh_s = time.perf_counter() - start
-        if not np.array_equal(scalar.output.data, fused.output.data):
-            raise AssertionError(
-                "block-parallel execution changed the pixels: scalar and "
-                "fused outputs differ"
-            )
+            fresh = session.execute("denoise", image, cached=False)
+            fresh_s = time.perf_counter() - start
         with recorder.phase("serving"):
             # Prime once: the serving steady state (frame answered from the
             # session's content-addressed cache) is what repeat traffic pays.
@@ -666,29 +655,27 @@ def _execute_frame_parallel_scenario(size: int = 96, serving_passes: int = 5):
             for _ in range(serving_passes):
                 served = session.execute("denoise", image)
             serving_s = (time.perf_counter() - start) / serving_passes
-        if not np.array_equal(served.output.data, scalar.output.data):
+        if not np.array_equal(served.output.data, fresh.output.data):
             raise AssertionError(
-                "cached serving changed the pixels: served and scalar outputs differ"
+                "cached serving changed the pixels: served and fresh outputs differ"
             )
-        output = scalar.output.data
+        output = fresh.output.data
         return ScenarioOutcome(
-            units=float(2 + serving_passes),
+            units=float(1 + serving_passes),
             figures=(("output_mean_abs", float(abs(output).mean())),),
             cache=_cache_pairs(session.cache),
             extra=(
-                ("baseline_s", scalar_s),
+                ("baseline_s", fresh_s),
                 ("optimized_s", serving_s),
-                ("speedup", scalar_s / serving_s),
-                ("parallel_fresh_s", parallel_fresh_s),
-                ("fusion_speedup", scalar_s / parallel_fresh_s),
+                ("speedup", fresh_s / serving_s),
             ),
         )
 
     return BenchScenario(
         name="execute_frame_parallel",
         description=(
-            f"pixel A/B on one {size}x{size} denoise frame: fresh scalar vs "
-            "fresh block-parallel vs cached serving steady state (outputs "
+            f"pixel A/B on one {size}x{size} denoise frame: fresh "
+            "block-parallel vs cached serving steady state (outputs "
             "verified bit-identical every run)"
         ),
         backends=("ecnn",),
@@ -706,13 +693,12 @@ def _execute_frames_batch_scenario(size: int = 16, frames: int = 32):
         session.execute_many("denoise", images, cached=False)
 
     def run(recorder: PhaseRecorder) -> ScenarioOutcome:
-        with recorder.phase("scalar"):
+        with recorder.phase("per_frame"):
             start = time.perf_counter()
             reference = [
-                session.execute("denoise", image, parallel=False, cached=False)
-                for image in images
+                session.execute("denoise", image, cached=False) for image in images
             ]
-            scalar_s = time.perf_counter() - start
+            per_frame_s = time.perf_counter() - start
         with recorder.phase("batch"):
             start = time.perf_counter()
             batched = session.execute_many("denoise", images, cached=False)
@@ -730,9 +716,9 @@ def _execute_frames_batch_scenario(size: int = 16, frames: int = 32):
             figures=(("output_mean_abs", mean_abs),),
             cache=_cache_pairs(session.cache),
             extra=(
-                ("baseline_s", scalar_s),
+                ("baseline_s", per_frame_s),
                 ("optimized_s", batch_s),
-                ("speedup", scalar_s / batch_s),
+                ("speedup", per_frame_s / batch_s),
             ),
         )
 
@@ -741,7 +727,7 @@ def _execute_frames_batch_scenario(size: int = 16, frames: int = 32):
         description=(
             f"cross-frame batch serving: {frames} distinct {size}x{size} "
             "denoise frames through Session.execute_many (fused passes), "
-            "verified bit-for-bit against per-frame scalar execution"
+            "verified bit-for-bit against fresh per-frame execution"
         ),
         backends=("ecnn",),
         unit="frames",
@@ -806,9 +792,7 @@ def _video_stream_scenario(
             with recorder.phase(f"baseline_{kind}"):
                 start = time.perf_counter()
                 references = [
-                    block_based_inference(
-                        network, frame, output_block=output_block, parallel=True
-                    )[0]
+                    block_based_inference(network, frame, output_block=output_block)[0]
                     for frame in frames
                 ]
                 baseline_s = time.perf_counter() - start
@@ -957,7 +941,7 @@ def _kernel_sweep_scenario(
                     for _ in range(inner_passes):
                         start = time.perf_counter()
                         result = block_based_inference(
-                            network, image, output_block=output_block, parallel=True
+                            network, image, output_block=output_block
                         )[0]
                         best = min(best, time.perf_counter() - start)
             outputs[name] = result.data

@@ -5,9 +5,12 @@ Frame-based reference
 The reproduction defines the frame-based reference as: pad the input image
 once by the network's total (input-resolution) margin and run the valid-mode
 network over the whole padded frame.  The block-based flow draws every block's
-input window from that same padded frame, so the stitched output is *exactly*
-equal to the frame-based output — this is the core functional invariant the
-eCNN hardware relies on (recomputation changes cost, never values).
+input window from that same padded frame, so the stitched output equals the
+frame-based output up to float accumulation order (convolution GEMMs of
+different widths sum in different orders) — this is the core functional
+invariant the eCNN hardware relies on (recomputation changes cost, never
+values).  At a fixed block geometry the stitched output is bit-identical to
+running ``network.forward`` on each block window on its own.
 
 Geometry
 --------
@@ -21,14 +24,13 @@ Block-parallel execution
 ------------------------
 All blocks of a frame are independent — the property the eCNN hardware
 exploits with 81 parallel block pipelines.  The functional path exploits it
-too: :func:`block_based_inference` groups the partition grid by input-window
-shape (every interior block is identical; edge remainders form a handful of
+too: every entry point (:func:`block_based_inference`,
+:func:`block_based_inference_many`, :func:`run_selected_blocks`) hands its
+block windows to one executor, which groups them by input-window shape
+(every interior block is identical; edge remainders form a handful of
 smaller groups), stacks each group into a
-:class:`~repro.nn.tensor.BatchedFeatureMap`, runs the network once per group
-and scatters the cropped results into the stitched output.  The scalar
-one-block-at-a-time flow stays available as ``parallel=False`` and produces
-bit-identical pixels (the batched layer kernels perform the same-shaped
-per-slice arithmetic).
+:class:`~repro.nn.tensor.BatchedFeatureMap`, runs the network's
+``forward_batch`` once per group and returns the cropped per-block results.
 """
 
 from __future__ import annotations
@@ -261,20 +263,11 @@ def _block_window(
     return window
 
 
-def _scatter_block(output: np.ndarray, block: BlockSpec, result: FeatureMap) -> None:
-    """Write one block's cropped output into the stitched frame."""
-    output[
-        :,
-        block.out_row : block.out_row + block.out_height,
-        block.out_col : block.out_col + block.out_width,
-    ] = result.data
-
-
-#: Input windows at least this large (in pixels) execute scalar even under
-#: ``parallel=True``: their layer passes are BLAS-bound, so fusing buys no
-#: python-overhead amortization while the batch-wide temporaries only add
-#: allocator pressure.  Small-window groups — the many-blocks regime the
-#: paper's 81 parallel pipelines target — are where fusion wins.
+#: Input windows at least this large (in pixels) run as batches of one:
+#: their layer passes are BLAS-bound, so stacking buys no python-overhead
+#: amortization while the batch-wide temporaries only add allocator
+#: pressure.  Small-window groups — the many-blocks regime the paper's 81
+#: parallel pipelines target — run as one batch.
 _SCALAR_FALLBACK_WINDOW_PIXELS = 64 * 64
 
 
@@ -284,35 +277,31 @@ def _run_block_groups(
 ) -> List[FeatureMap]:
     """Run ``(block, window, qformat)`` jobs through the network, batched.
 
-    Jobs whose input windows share a shape (and dtype/Q-format) are stacked
-    into one :class:`BatchedFeatureMap` and run through the network in a
-    single fused pass; the raw group output is then cropped per block.
-    Groups of one block, and groups of large (BLAS-bound) windows, run the
-    scalar ``forward`` instead — same pixels, better allocator behaviour.
-    Returns the cropped per-job outputs in job order.
+    This is the only place the block flow runs a network.  Jobs whose input
+    windows share a shape (and dtype/Q-format) are stacked into one
+    :class:`BatchedFeatureMap` and run through ``forward_batch`` in a single
+    fused pass; the raw group output is then cropped per block.  Groups of
+    large (BLAS-bound) windows run one batch of one per window instead —
+    same pixels, better allocator behaviour.  Returns the cropped per-job
+    outputs in job order.
     """
     groups: Dict[tuple, List[int]] = {}
     for index, (block, window, qformat) in enumerate(jobs):
         key = (window.shape, window.dtype.str, qformat)
         groups.setdefault(key, []).append(index)
     results: List[Optional[FeatureMap]] = [None] * len(jobs)
-    for indices in groups.values():
-        window = jobs[indices[0]][1]
-        window_pixels = window.shape[-2] * window.shape[-1]
-        if len(indices) == 1 or window_pixels >= _SCALAR_FALLBACK_WINDOW_PIXELS:
-            for index in indices:
-                block, window, qformat = jobs[index]
-                raw = network.forward(FeatureMap(data=window.copy(), qformat=qformat))
-                results[index] = _crop_to_block(raw, block, network.layers)
-            continue
-        batch = BatchedFeatureMap(
-            data=np.stack([jobs[index][1] for index in indices]),
-            qformat=jobs[indices[0]][2],
-        )
-        raw = network.forward_batch(batch)
-        for slot, index in enumerate(indices):
-            result = FeatureMap(data=raw.data[slot], qformat=raw.qformat)
-            results[index] = _crop_to_block(result, jobs[index][0], network.layers)
+    for (shape, _dtype, qformat), indices in groups.items():
+        large = shape[-2] * shape[-1] >= _SCALAR_FALLBACK_WINDOW_PIXELS
+        step = 1 if large else len(indices)
+        for start in range(0, len(indices), step):
+            chunk = indices[start : start + step]
+            batch = BatchedFeatureMap(
+                data=np.stack([jobs[index][1] for index in chunk]), qformat=qformat
+            )
+            raw = network.forward_batch(batch)
+            for slot, index in enumerate(chunk):
+                result = FeatureMap(data=raw.data[slot], qformat=raw.qformat)
+                results[index] = _crop_to_block(result, jobs[index][0], network.layers)
     return results  # type: ignore[return-value]
 
 
@@ -320,58 +309,23 @@ def block_based_inference(
     network: Sequential,
     image: FeatureMap,
     output_block: int,
-    *,
-    parallel: bool = True,
 ) -> Tuple[FeatureMap, BlockGrid]:
     """Run the block-based truncated-pyramid flow and stitch the result.
 
     Returns the stitched output feature map and the block grid (for overhead
     accounting).  The stitched output equals :func:`frame_based_inference`
-    exactly.
-
-    With ``parallel=True`` (the default) the partition grid is grouped by
-    block shape and each group runs through the network as one fused
-    :class:`BatchedFeatureMap` pass; ``parallel=False`` keeps the original
-    one-block-at-a-time execution.  Both paths produce bit-identical output.
+    within float tolerance (the two run convolutions of different widths,
+    which accumulate in different orders), and is bit-identical to running
+    ``network.forward`` on every block window of the same grid.  This is the
+    single-frame form of :func:`block_based_inference_many`.
     """
-    grid = partition_image(image.height, image.width, network, output_block)
-    margin = total_input_margin(network.layers)
-    padded = np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
-
-    output: np.ndarray | None = None
-    if parallel:
-        jobs = [
-            (block, _block_window(padded, block, margin), image.qformat)
-            for block in grid.blocks
-        ]
-        for block, result in zip(grid.blocks, _run_block_groups(network, jobs)):
-            if output is None:
-                output = np.zeros(
-                    (result.channels, grid.output_height, grid.output_width),
-                    dtype=result.data.dtype,
-                )
-            _scatter_block(output, block, result)
-    else:
-        for block in grid.blocks:
-            window = _block_window(padded, block, margin)
-            result = network.forward(image.with_data(window.copy()))
-            result = _crop_to_block(result, block, network.layers)
-            if output is None:
-                output = np.zeros(
-                    (result.channels, grid.output_height, grid.output_width),
-                    dtype=result.data.dtype,
-                )
-            _scatter_block(output, block, result)
-    assert output is not None
-    return FeatureMap(data=output), grid
+    return block_based_inference_many(network, [image], output_block)[0]
 
 
 def block_based_inference_many(
     network: Sequential,
     images: Sequence[FeatureMap],
     output_block: int,
-    *,
-    parallel: bool = True,
 ) -> List[Tuple[FeatureMap, BlockGrid]]:
     """Run several frames through the block flow with cross-frame batching.
 
@@ -379,42 +333,27 @@ def block_based_inference_many(
     blocks of same-sized frames share fused passes (frames of one workload
     usually have identical partition grids, making the interior-block group
     ``num_frames`` times deeper than in single-frame execution).  Each
-    frame's stitched output equals its :func:`block_based_inference` result
-    exactly.
+    frame's stitched output is bit-identical to its
+    :func:`block_based_inference` result.
     """
-    if not images:
-        return []
-    if not parallel:
-        return [
-            block_based_inference(network, image, output_block, parallel=False)
-            for image in images
-        ]
-    margin = total_input_margin(network.layers)
     grids: List[BlockGrid] = []
     jobs: List[Tuple[BlockSpec, np.ndarray, Optional[str]]] = []
-    owners: List[int] = []
-    for frame_index, image in enumerate(images):
+    margin = total_input_margin(network.layers)
+    for image in images:
         grid = partition_image(image.height, image.width, network, output_block)
         grids.append(grid)
-        padded = np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
+        padded = pad_frame(image, network.layers)
         for block in grid.blocks:
             jobs.append((block, _block_window(padded, block, margin), image.qformat))
-            owners.append(frame_index)
-    outputs: List[Optional[np.ndarray]] = [None] * len(images)
-    for (block, _, _), owner, result in zip(
-        jobs, owners, _run_block_groups(network, jobs)
-    ):
-        grid = grids[owner]
-        if outputs[owner] is None:
-            outputs[owner] = np.zeros(
-                (result.channels, grid.output_height, grid.output_width),
-                dtype=result.data.dtype,
-            )
-        _scatter_block(outputs[owner], block, result)
-    assert all(output is not None for output in outputs)
-    return [
-        (FeatureMap(data=output), grid) for output, grid in zip(outputs, grids)
-    ]
+    results = _run_block_groups(network, jobs)
+    stitched: List[Tuple[FeatureMap, BlockGrid]] = []
+    start = 0
+    for grid in grids:
+        pieces = list(zip(grid.blocks, results[start : start + grid.num_blocks]))
+        start += grid.num_blocks
+        output = stitch_blocks(pieces, grid.output_height, grid.output_width)
+        stitched.append((output, grid))
+    return stitched
 
 
 #: Residual metrics the delta path understands: mean / sum of absolute
@@ -426,8 +365,8 @@ def pad_frame(image: FeatureMap, layers: Sequence[Layer]) -> np.ndarray:
     """Zero-pad a frame by the stack's total input margin.
 
     This is the canonical padding every block's input window is drawn from
-    (:func:`block_based_inference` builds the same array), exposed so the
-    video delta path can diff consecutive padded frames window-by-window.
+    (:func:`block_based_inference_many` pads each frame with it), exposed so
+    the video delta path can diff consecutive padded frames window-by-window.
     """
     margin = total_input_margin(layers)
     return np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
@@ -477,33 +416,22 @@ def run_selected_blocks(
     grid: BlockGrid,
     indices: Sequence[int],
     qformat: Optional[str] = None,
-    *,
-    parallel: bool = True,
 ) -> List[FeatureMap]:
     """Run only the named blocks of a partition and return their outputs.
 
     The selective counterpart of :func:`block_based_inference`: the caller
     supplies the padded frame and the partition grid, names the block
     indices to recompute, and gets each block's cropped output back in
-    ``indices`` order.  Pixels are bit-identical to a full run — the
-    parallel path reuses the same grouped-batch machinery, the scalar path
-    the same per-block ``forward`` — which is the invariant the video delta
-    path's exact-reuse mode rests on.
+    ``indices`` order.  Pixels are bit-identical to a full run — both go
+    through the same grouped-batch executor — which is the invariant the
+    video delta path's exact-reuse mode rests on.
     """
     margin = total_input_margin(network.layers)
-    blocks = [grid.blocks[index] for index in indices]
-    if parallel:
-        jobs = [
-            (block, _block_window(padded, block, margin), qformat)
-            for block in blocks
-        ]
-        return _run_block_groups(network, jobs)
-    results: List[FeatureMap] = []
-    for block in blocks:
-        window = _block_window(padded, block, margin)
-        raw = network.forward(FeatureMap(data=window.copy(), qformat=qformat))
-        results.append(_crop_to_block(raw, block, network.layers))
-    return results
+    jobs = [
+        (grid.blocks[index], _block_window(padded, grid.blocks[index], margin), qformat)
+        for index in indices
+    ]
+    return _run_block_groups(network, jobs)
 
 
 def _crop_to_block(
@@ -538,11 +466,17 @@ def stitch_blocks(
     output_height: int,
     output_width: int,
 ) -> FeatureMap:
-    """Stitch per-block outputs into a full image (used by the hw executor)."""
+    """Stitch per-block outputs into a full image.
+
+    The block flow and the video delta path both assemble their frames
+    here; the output takes the dtype of the first block.
+    """
     if not blocks:
         raise ValueError("no blocks to stitch")
-    channels = blocks[0][1].channels
-    output = np.zeros((channels, output_height, output_width), dtype=np.float64)
+    first = blocks[0][1]
+    output = np.zeros(
+        (first.channels, output_height, output_width), dtype=first.data.dtype
+    )
     for spec, fm in blocks:
         if fm.height != spec.out_height or fm.width != spec.out_width:
             raise ValueError(

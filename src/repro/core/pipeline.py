@@ -89,31 +89,20 @@ class BlockInferencePipeline:
             apply_plan(network, quantization)
         self.quantization = quantization
 
-    def run(self, image: FeatureMap, *, parallel: bool = True) -> InferenceResult:
-        """Execute the block-based flow on ``image``.
-
-        ``parallel`` selects the block-parallel grouped execution (default)
-        or the scalar one-block-at-a-time flow; the output pixels are
-        bit-identical either way.
-        """
-        output, grid = block_based_inference(
-            self.network, image, self.output_block, parallel=parallel
-        )
+    def run(self, image: FeatureMap) -> InferenceResult:
+        """Execute the block-based flow on ``image``."""
+        output, grid = block_based_inference(self.network, image, self.output_block)
         report = overhead_report(self.network, self.input_block)
         return InferenceResult(output=output, grid=grid, overheads=report)
 
-    def run_batch(
-        self, images: Sequence[FeatureMap], *, parallel: bool = True
-    ) -> List[InferenceResult]:
+    def run_batch(self, images: Sequence[FeatureMap]) -> List[InferenceResult]:
         """Execute several frames, batching blocks across all of them.
 
-        With ``parallel=True`` the truncated-pyramid blocks of *every* frame
-        are pooled before grouping, so same-sized frames share fused network
-        passes.  Each frame's result equals its individual :meth:`run`.
+        The truncated-pyramid blocks of *every* frame are pooled before
+        grouping, so same-sized frames share fused network passes.  Each
+        frame's result is bit-identical to its individual :meth:`run`.
         """
-        results = block_based_inference_many(
-            self.network, images, self.output_block, parallel=parallel
-        )
+        results = block_based_inference_many(self.network, images, self.output_block)
         report = overhead_report(self.network, self.input_block)
         return [
             InferenceResult(output=output, grid=grid, overheads=report)

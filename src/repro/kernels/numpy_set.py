@@ -8,8 +8,7 @@ same order, same BLAS calls — so routing the layers through this set changes
 no output bit anywhere in the stack.  That is what makes it the oracle the
 parity sweep compares every other kernel set against.
 
-This module also owns the shared im2col patch extraction (:func:`_im2col`);
-:mod:`repro.nn.layers` re-exports it for its historical callers.
+This module also owns the shared im2col patch extraction (:func:`_im2col`).
 """
 
 from __future__ import annotations

@@ -25,11 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.kernels import active_kernel_set
-from repro.kernels.numpy_set import (  # noqa: F401  (re-exported for historical callers)
-    _CONV_BATCH_BUDGET_VALUES,
-    _fill_patches,
-    _im2col,
-)
 from repro.nn.initializers import he_laplace, seeded_rng
 from repro.nn.tensor import BatchedFeatureMap, FeatureMap
 
@@ -71,13 +66,6 @@ class Layer:
 
     def __call__(self, fm: FeatureMap) -> FeatureMap:
         return self.forward(fm)
-
-
-#: Backwards-compatible alias of the shared patch extraction, which now
-#: lives with the reference kernels in :mod:`repro.kernels.numpy_set`
-#: (re-exported above together with ``_fill_patches``/``_im2col`` and the
-#: batched-chunking budget ``_CONV_BATCH_BUDGET_VALUES``).
-_im2col_valid = _im2col
 
 
 class Conv2d(Layer):

@@ -167,24 +167,19 @@ def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
             )
         return state.engine.run()
     if command == "execute_frame":
-        workload_name, frame, parallel, cached = payload
-        return state.engine.execute_frame(
-            workload_name, frame, parallel=parallel, cached=cached
-        )
+        workload_name, frame, cached = payload
+        return state.engine.execute_frame(workload_name, frame, cached=cached)
     if command == "execute_frames":
-        workload_name, frames, parallel, cached = payload
-        return state.engine.execute_frames(
-            workload_name, frames, parallel=parallel, cached=cached
-        )
+        workload_name, frames, cached = payload
+        return state.engine.execute_frames(workload_name, frames, cached=cached)
     if command == "execute_stream":
-        stream_id, workload_name, frame, threshold, metric, parallel, output_block = payload
+        stream_id, workload_name, frame, threshold, metric, output_block = payload
         return state.engine.execute_stream(
             stream_id,
             workload_name,
             frame,
             threshold=threshold,
             metric=metric,
-            parallel=parallel,
             output_block=output_block,
         )
     if command == "profile":
@@ -1160,7 +1155,6 @@ class ServingCluster:
         workload_name: str,
         image: FeatureMap,
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> InferenceResult:
         """Run one frame on the shard owning this workload.
@@ -1172,7 +1166,7 @@ class ServingCluster:
         self._check_open()
         self.session.workload(workload_name)
         result = self._dispatch_with_recovery(
-            workload_name, "execute_frame", (workload_name, image, parallel, cached)
+            workload_name, "execute_frame", (workload_name, image, cached)
         )
         shard_index = self._workload_shard[workload_name]
         self._served_frames[shard_index] = self._served_frames.get(shard_index, 0) + 1
@@ -1183,7 +1177,6 @@ class ServingCluster:
         workload_name: str,
         images: Sequence[FeatureMap],
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> List[InferenceResult]:
         """Serve a batch of frames scattered across all live shards.
@@ -1228,7 +1221,7 @@ class ServingCluster:
                 try:
                     request_id = shard.send(
                         "execute_frames",
-                        (workload_name, [images[i] for i in indices], parallel, cached),
+                        (workload_name, [images[i] for i in indices], cached),
                     )
                     in_flight.append((shard, request_id, indices))
                 except _ShardFailure:
@@ -1258,7 +1251,6 @@ class ServingCluster:
         *,
         threshold: float = 0.0,
         metric: str = "mae",
-        parallel: bool = True,
         output_block: Optional[int] = None,
     ) -> StreamFrameResult:
         """Serve a video stream's next frame on the shard owning the stream.
@@ -1272,9 +1264,7 @@ class ServingCluster:
         """
         self._check_open()
         self.session.workload(workload_name)
-        payload = (
-            str(stream_id), workload_name, image, threshold, metric, parallel, output_block
-        )
+        payload = (str(stream_id), workload_name, image, threshold, metric, output_block)
         for attempt in range(len(self._shards)):
             shard = self._route_stream(str(stream_id))
             try:

@@ -8,7 +8,7 @@ every served request against the admission ledger, repeat.  A
 :class:`~repro.soak.chaos.ChaosController` fires scheduled faults between
 admissions; after every applied chaos event the harness re-verifies that a
 surviving shard's pixel output is **bit-identical** to a pre-computed
-single-process scalar reference (the repository's parity discipline).
+single-process reference (the repository's parity discipline).
 
 Exactly-once accounting
 -----------------------
@@ -75,7 +75,7 @@ class SoakIntegrityError(SoakError):
 
 
 class SoakParityError(SoakError):
-    """Post-chaos pixels diverged from the single-process scalar reference."""
+    """Post-chaos pixels diverged from the single-process reference."""
 
 
 class SoakSchemaError(SoakError):
@@ -555,14 +555,14 @@ def _parity_probe(
     reference: np.ndarray,
     probe: Any,
 ) -> None:
-    """Bit-compare a surviving shard's pixels against the scalar reference."""
+    """Bit-compare a surviving shard's pixels against the single-process reference."""
     result = cluster.execute_frame(config.parity_workload, probe, cached=False)
     if result.output.data.shape != reference.shape or not np.array_equal(
         result.output.data, reference
     ):
         raise SoakParityError(
             f"post-chaos parity violation on {config.parity_workload!r}: "
-            "surviving-shard pixels diverged from the scalar reference"
+            "surviving-shard pixels diverged from the single-process reference"
         )
 
 
@@ -572,7 +572,7 @@ def run_soak(config: SoakConfig) -> SoakReport:
     probe = synthetic_image(config.parity_size, config.parity_size, seed=config.seed)
     reference_session = Session(backend=config.backend, cache=ResultCache())
     reference = reference_session.execute(
-        config.parity_workload, probe, parallel=False, cached=False
+        config.parity_workload, probe, cached=False
     ).output.data
     accounting = _Accounting()
     # Seeded jitter for the backoff path: deterministic, decoupled from the

@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.workloads import synthetic_image
+from repro.core.blockflow import (
+    output_interval_for_input,
+    pad_frame,
+    partition_image,
+    stitch_blocks,
+    total_input_margin,
+)
 from repro.models.baselines import build_plain_network
 from repro.models.ernet import build_dnernet, build_sr2ernet
 from repro.nn.layers import AddBias, ClippedReLU, Conv2d, ReLU, Residual
@@ -36,7 +43,8 @@ def assert_parity(outputs: Mapping[str, Any], *, context: str = "") -> None:
     check: every optimized execution path (fused batch kernels,
     block-parallel grouping, cross-frame batching, sharded cluster
     serving) must produce pixels *bit-identical* — not merely close — to
-    the scalar reference it replaced.  ``outputs`` maps a path name to its
+    the reference it replaced (for the block flow,
+    :func:`scalar_block_reference`).  ``outputs`` maps a path name to its
     output (a raw array, a ``FeatureMap``/``BatchedFeatureMap`` or an
     ``InferenceResult``); the first entry is the reference.
     """
@@ -57,6 +65,51 @@ def assert_parity(outputs: Mapping[str, Any], *, context: str = "") -> None:
             f"max abs difference "
             f"{np.max(np.abs(candidate - reference)):.3e}{suffix}"
         )
+
+
+def scalar_block_reference(
+    network: Sequential, image: FeatureMap, output_block: int
+) -> FeatureMap:
+    """The block flow one window at a time: the executor's bit-exact oracle.
+
+    Pads the frame by the network margin, partitions the output grid into
+    ``output_block`` blocks, runs the scalar ``network.forward`` on each
+    block's input window on its own, crops each output to the region the
+    block owns and stitches.  The block-parallel executor must match it
+    bit for bit at the same geometry.
+    """
+    grid = partition_image(image.height, image.width, network, output_block)
+    margin = total_input_margin(network.layers)
+    padded = pad_frame(image, network.layers)
+    pieces = []
+    for block in grid.blocks:
+        r0, c0 = block.in_row + margin, block.in_col + margin
+        window = padded[:, r0 : r0 + block.in_height, c0 : c0 + block.in_width]
+        result = network.forward(image.with_data(window.copy()))
+        top, _ = output_interval_for_input(
+            block.in_row, block.in_row + block.in_height, network.layers
+        )
+        left, _ = output_interval_for_input(
+            block.in_col, block.in_col + block.in_width, network.layers
+        )
+        owned = result.crop(
+            block.out_row - top, block.out_col - left, block.out_height, block.out_width
+        )
+        pieces.append((block, owned))
+    return stitch_blocks(pieces, grid.output_height, grid.output_width)
+
+
+def session_block_reference(
+    session: Any, workload: str, frame: FeatureMap, result: Any
+) -> FeatureMap:
+    """:func:`scalar_block_reference` at the geometry a session result used.
+
+    ``result`` is the ``InferenceResult`` under test; its grid names the
+    output block the backend chose, and the session's compiled plan names
+    the network.
+    """
+    network = session.compile(workload).network
+    return scalar_block_reference(network, frame, result.grid.block_size)
 
 
 def draw_layer_stack(rng: np.random.Generator, channels: int) -> Sequential:
@@ -102,6 +155,18 @@ def draw_layer_stack(rng: np.random.Generator, channels: int) -> Sequential:
 def assert_parity_fixture():
     """The :func:`assert_parity` helper as a fixture (same callable)."""
     return assert_parity
+
+
+@pytest.fixture(name="scalar_block_reference")
+def scalar_block_reference_fixture():
+    """The :func:`scalar_block_reference` oracle as a fixture (same callable)."""
+    return scalar_block_reference
+
+
+@pytest.fixture(name="session_block_reference")
+def session_block_reference_fixture():
+    """The :func:`session_block_reference` oracle as a fixture (same callable)."""
+    return session_block_reference
 
 
 @pytest.fixture(name="draw_layer_stack")

@@ -1,5 +1,5 @@
-"""The repro.api session layer: registry, parity with the direct modules,
-cross-backend sweeps and the deprecation shims."""
+"""The repro.api session layer: registry, parity with the direct modules
+and cross-backend sweeps."""
 
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
-from repro.hw.area_power import analyze_area, area_report, power_report
+from repro.hw.area_power import area_report, power_report
 from repro.hw.config import DEFAULT_CONFIG
 from repro.hw.dram import dram_traffic
-from repro.hw.performance import analyze_performance, evaluate_performance
+from repro.hw.performance import evaluate_performance
 from repro.models.ernet import PAPER_MODELS, build_ernet
 from repro.runtime import ResultCache, ServingEngine, workload
 from repro.runtime.cli import main as cli_main
@@ -270,18 +270,3 @@ class TestPixelBackendMatrix:
         repeat = engine.execute_frame("denoise", self._IMAGE)
         assert repeat.output.data.tobytes() == served.output.data.tobytes()
         assert engine.frame_cache_stats.hits >= 1
-
-
-# ---------------------------------------------------------------- deprecation
-class TestDeprecationShims:
-    def test_analyze_performance_warns_and_matches(self):
-        network = build_ernet(PAPER_MODELS["dn"]["UHD30"])
-        spec = SPECIFICATIONS["UHD30"]
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = analyze_performance(network, spec)
-        assert shimmed == evaluate_performance(network, spec)
-
-    def test_analyze_area_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = analyze_area()
-        assert shimmed == area_report()

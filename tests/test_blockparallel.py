@@ -1,8 +1,9 @@
 """Block-parallel execution: batched tensors, fused layers, serving parity.
 
 The contract under test: the block-parallel grouped execution (and every
-``forward_batch`` kernel underneath it) produces pixels bit-identical to the
-scalar one-block-at-a-time flow, across every layer type, every block-flow
+``forward_batch`` kernel underneath it) produces pixels bit-identical to
+running the scalar ``forward`` on each block window on its own
+(``scalar_block_reference``), across every layer type, every block-flow
 catalogue workload, both functional backends, non-divisible image sizes
 (edge-block groups) and the cross-frame batch APIs.
 """
@@ -15,11 +16,13 @@ import pytest
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
 from repro.core.blockflow import (
+    _SCALAR_FALLBACK_WINDOW_PIXELS,
     block_based_inference,
     block_based_inference_many,
     frame_based_inference,
 )
 from repro.core.pipeline import BlockInferencePipeline
+from repro.kernels import use_kernel_set
 from repro.nn.layers import AddBias, ClippedReLU, Conv2d, Layer, ReLU, Residual
 from repro.nn.ops import (
     MaxPool2x2,
@@ -140,95 +143,139 @@ class TestForwardBatchKernels:
         maps = [FeatureMap(data=rng.random((2, 4, 4))) for _ in range(3)]
         _assert_layer_batch_parity(Halve(), maps)
 
-    def test_conv_chunked_batch_matches_single_pass(self, rng):
-        # Force the chunked path by exceeding the im2col value budget.
-        from repro.nn import layers as layers_module
+    def test_conv_chunked_batch_matches_single_pass(self, rng, monkeypatch):
+        # Force the chunked path by exceeding the im2col value budget, and
+        # count the batched im2col calls to prove more than one chunk ran.
+        from repro.kernels import numpy_set
 
+        chunks = []
+        im2col = numpy_set._im2col
+
+        def counting_im2col(data, kernel):
+            if data.ndim == 4:
+                chunks.append(data.shape[0])
+            return im2col(data, kernel)
+
+        monkeypatch.setattr(numpy_set, "_CONV_BATCH_BUDGET_VALUES", 1)
+        monkeypatch.setattr(numpy_set, "_im2col", counting_im2col)
         conv = Conv2d(8, 8, 3, seed=6)
         maps = [FeatureMap(data=rng.normal(size=(8, 30, 30))) for _ in range(7)]
-        budget = layers_module._CONV_BATCH_BUDGET_VALUES
-        try:
-            layers_module._CONV_BATCH_BUDGET_VALUES = 1
+        with use_kernel_set("numpy"):
             _assert_layer_batch_parity(conv, maps)
-        finally:
-            layers_module._CONV_BATCH_BUDGET_VALUES = budget
+        assert len(chunks) > 1
+        assert sum(chunks) == len(maps)
 
 
 # ------------------------------------------------------------------ blockflow
 class TestBlockParallelFlow:
     @pytest.mark.parametrize("size", [(40, 44), (37, 29)])
-    def test_parallel_equals_scalar_bitwise(self, tiny_plain_network, size):
+    def test_parallel_equals_scalar_bitwise(
+        self, tiny_plain_network, size, scalar_block_reference
+    ):
         image = synthetic_image(*size, seed=11)
-        scalar, _ = block_based_inference(
-            tiny_plain_network, image, output_block=12, parallel=False
-        )
-        fused, grid = block_based_inference(
-            tiny_plain_network, image, output_block=12, parallel=True
-        )
+        scalar = scalar_block_reference(tiny_plain_network, image, 12)
+        fused, grid = block_based_inference(tiny_plain_network, image, output_block=12)
         assert grid.num_blocks > 1
         assert np.array_equal(scalar.data, fused.data)
         reference = frame_based_inference(tiny_plain_network, image)
         assert np.allclose(fused.data, reference.data)
 
-    def test_parallel_with_upsampler_and_residuals(self, tiny_sr_network, tiny_ernet):
+    def test_parallel_with_upsampler_and_residuals(
+        self, tiny_sr_network, tiny_ernet, scalar_block_reference
+    ):
         for network, size in ((tiny_sr_network, (26, 22)), (tiny_ernet, (33, 27))):
             image = synthetic_image(*size, seed=13)
-            scalar, _ = block_based_inference(network, image, 10, parallel=False)
-            fused, _ = block_based_inference(network, image, 10, parallel=True)
+            scalar = scalar_block_reference(network, image, 10)
+            fused, _ = block_based_inference(network, image, 10)
             assert np.array_equal(scalar.data, fused.data)
 
-    def test_many_matches_per_frame_results(self, tiny_plain_network):
+    def test_large_windows_run_as_batches_of_one(
+        self, tiny_plain_network, monkeypatch, scalar_block_reference
+    ):
+        # Output block 60 needs 68x68 input windows, over the threshold:
+        # the four interior blocks share a shape but each runs alone, while
+        # the small edge windows are still stacked.
+        network = tiny_plain_network
+        batches = []
+        forward_batch = network.forward_batch
+
+        def recording(bfm):
+            batches.append(bfm.shape)
+            return forward_batch(bfm)
+
+        monkeypatch.setattr(network, "forward_batch", recording)
+        image = synthetic_image(130, 128, seed=19)
+        fused, grid = block_based_inference(network, image, 60)
+        assert grid.num_blocks == 9
+        large = [n for n, _, h, w in batches if h * w >= _SCALAR_FALLBACK_WINDOW_PIXELS]
+        small = [n for n, _, h, w in batches if h * w < _SCALAR_FALLBACK_WINDOW_PIXELS]
+        assert large == [1, 1, 1, 1]
+        assert sorted(small) == [1, 2, 2]
+        reference = scalar_block_reference(network, image, 60)
+        assert np.array_equal(fused.data, reference.data)
+
+    def test_many_matches_per_frame_results(
+        self, tiny_plain_network, scalar_block_reference
+    ):
         images = [synthetic_image(30 + step, 28, seed=step) for step in range(3)]
         many = block_based_inference_many(tiny_plain_network, images, 12)
         assert len(many) == len(images)
         for image, (output, grid) in zip(images, many):
-            single, single_grid = block_based_inference(
-                tiny_plain_network, image, 12, parallel=False
-            )
+            single, single_grid = block_based_inference(tiny_plain_network, image, 12)
             assert np.array_equal(output.data, single.data)
+            assert np.array_equal(
+                output.data, scalar_block_reference(tiny_plain_network, image, 12).data
+            )
             assert grid.num_blocks == single_grid.num_blocks
         assert block_based_inference_many(tiny_plain_network, [], 12) == []
 
-    def test_pipeline_run_batch(self, tiny_plain_network):
+    def test_pipeline_run_batch(self, tiny_plain_network, scalar_block_reference):
         pipeline = BlockInferencePipeline(tiny_plain_network, output_block=12)
         images = [synthetic_image(30, 30, seed=seed) for seed in (1, 2)]
         batch = pipeline.run_batch(images)
         for image, result in zip(images, batch):
-            single = pipeline.run(image, parallel=False)
+            single = pipeline.run(image)
             assert np.array_equal(result.output.data, single.output.data)
+            reference = scalar_block_reference(tiny_plain_network, image, 12)
+            assert np.array_equal(result.output.data, reference.data)
             assert result.overheads == single.overheads
 
-    def test_quantized_network_batched_parity(self, tiny_plain_network):
+    def test_quantized_network_batched_parity(
+        self, tiny_plain_network, scalar_block_reference
+    ):
         # The fixed-point deployment path: apply a quantization plan through
-        # the pipeline, then check scalar and fused execution still agree.
+        # the pipeline, then check fused execution still matches the
+        # per-block reference.
         plan = quantize_network(tiny_plain_network)
         pipeline = BlockInferencePipeline(
             tiny_plain_network, output_block=12, quantization=plan
         )
         image = synthetic_image(31, 29, seed=17)
-        fused = pipeline.run(image, parallel=True)
-        scalar = pipeline.run(image, parallel=False)
-        assert np.array_equal(fused.output.data, scalar.output.data)
+        fused = pipeline.run(image)
+        scalar = scalar_block_reference(tiny_plain_network, image, 12)
+        assert np.array_equal(fused.output.data, scalar.data)
 
 
 # ------------------------------------------------------- serving-stack parity
 class TestServingParity:
     @pytest.mark.parametrize("backend", PIXEL_BACKENDS)
     @pytest.mark.parametrize("workload", PIXEL_WORKLOADS)
-    def test_catalogue_scalar_vs_parallel(self, backend, workload):
+    def test_catalogue_scalar_vs_parallel(
+        self, backend, workload, session_block_reference
+    ):
         session = Session(backend=backend, cache=ResultCache())
         for size in WORKLOAD_SIZES[workload]:
             image = synthetic_image(*size, seed=23)
-            scalar = session.execute(workload, image, parallel=False, cached=False)
-            fused = session.execute(workload, image, parallel=True, cached=False)
-            assert np.array_equal(scalar.output.data, fused.output.data), (
+            fused = session.execute(workload, image, cached=False)
+            scalar = session_block_reference(session, workload, image, fused)
+            assert np.array_equal(scalar.data, fused.output.data), (
                 workload,
                 backend,
                 size,
             )
 
     @pytest.mark.parametrize("backend", PIXEL_BACKENDS)
-    def test_execute_many_matches_per_frame(self, backend):
+    def test_execute_many_matches_per_frame(self, backend, session_block_reference):
         session = Session(backend=backend, cache=ResultCache())
         images = [
             synthetic_image(*WORKLOAD_SIZES["denoise"][0], seed=seed)
@@ -236,8 +283,10 @@ class TestServingParity:
         ] + [synthetic_image(*WORKLOAD_SIZES["denoise"][1], seed=9)]
         batch = session.execute_many("denoise", images, cached=False)
         for image, result in zip(images, batch):
-            single = session.execute("denoise", image, parallel=False, cached=False)
+            single = session.execute("denoise", image, cached=False)
             assert np.array_equal(result.output.data, single.output.data)
+            reference = session_block_reference(session, "denoise", image, result)
+            assert np.array_equal(result.output.data, reference.data)
 
     def test_frame_cache_serves_repeats(self):
         session = Session(backend="ecnn", cache=ResultCache())
@@ -252,37 +301,35 @@ class TestServingParity:
         assert not np.array_equal(other.output.data, first.output.data)
         assert session.frame_cache.stats.misses == 2
 
-    def test_execute_many_dedupes_repeated_frames(self):
+    def test_execute_many_dedupes_repeated_frames(self, session_block_reference):
         session = Session(backend="ecnn", cache=ResultCache())
         image = synthetic_image(40, 40, seed=31)
         results = session.execute_many("denoise", [image, image, image])
         # One compute fans out to every duplicate in the batch.
         assert session.frame_cache.stats.misses == 1
         assert results[1] is results[0] and results[2] is results[0]
-        reference = session.execute("denoise", image, parallel=False, cached=False)
-        assert np.array_equal(results[0].output.data, reference.output.data)
+        reference = session_block_reference(session, "denoise", image, results[0])
+        assert np.array_equal(results[0].output.data, reference.data)
 
-    def test_execute_many_mixes_cache_hits_and_batch(self):
+    def test_execute_many_mixes_cache_hits_and_batch(self, session_block_reference):
         session = Session(backend="ecnn", cache=ResultCache())
         images = [synthetic_image(40, 40, seed=seed) for seed in range(4)]
         session.execute("denoise", images[1])  # pre-populate one entry
         results = session.execute_many("denoise", images)
         for image, result in zip(images, results):
-            reference = session.execute(
-                "denoise", image, parallel=False, cached=False
-            )
-            assert np.array_equal(result.output.data, reference.output.data)
+            reference = session_block_reference(session, "denoise", image, result)
+            assert np.array_equal(result.output.data, reference.data)
         assert session.frame_cache.stats.hits >= 1
 
-    def test_engine_execute_frames(self):
+    def test_engine_execute_frames(self, session_block_reference):
         engine = ServingEngine(backend="ecnn", cache=ResultCache())
         images = [synthetic_image(35, 27, seed=seed) for seed in (1, 2)]
         batch = engine.execute_frames("denoise", images, cached=False)
         for image, result in zip(images, batch):
-            single = engine.execute_frame(
-                "denoise", image, parallel=False, cached=False
-            )
+            single = engine.execute_frame("denoise", image, cached=False)
             assert np.array_equal(result.output.data, single.output.data)
+            reference = session_block_reference(engine.session, "denoise", image, result)
+            assert np.array_equal(result.output.data, reference.data)
 
     def test_recognition_still_has_no_pixel_path(self):
         session = Session(backend="ecnn", cache=ResultCache())

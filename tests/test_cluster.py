@@ -291,13 +291,15 @@ class TestClusterProcesses:
             context=f"mode={process_cluster.mode}",
         )
 
-    def test_execute_frames_scatters_and_preserves_order(self, process_cluster, assert_parity):
+    def test_execute_frames_scatters_and_preserves_order(
+        self, process_cluster, assert_parity, session_block_reference
+    ):
         images = [synthetic_image(32, 32, seed=seed) for seed in range(5)]
         session = Session(backend="ecnn", cache=ResultCache())
         scattered = process_cluster.execute_frames("denoise", images, cached=False)
         assert len(scattered) == len(images)
         for index, (image, result) in enumerate(zip(images, scattered)):
-            reference = session.execute("denoise", image, parallel=False, cached=False)
+            reference = session_block_reference(session, "denoise", image, result)
             assert_parity(
                 {"scalar": reference, "cluster": result}, context=f"frame {index}"
             )
@@ -332,7 +334,9 @@ class TestClusterProcesses:
             cluster.submit("s1", "super_resolution", frames=1)
             assert cluster.run().total_frames == 3
 
-    def test_batch_failover_serves_every_frame_exactly_once(self, assert_parity):
+    def test_batch_failover_serves_every_frame_exactly_once(
+        self, assert_parity, session_block_reference
+    ):
         with ServingCluster(workers=2, backend="ecnn", mode="auto") as cluster:
             if cluster.mode != "process":
                 pytest.skip("sandbox forbids worker processes")
@@ -342,7 +346,7 @@ class TestClusterProcesses:
             results = cluster.execute_frames("denoise", images, cached=False)
             session = Session(backend="ecnn", cache=ResultCache())
             for index, (image, result) in enumerate(zip(images, results)):
-                reference = session.execute("denoise", image, parallel=False, cached=False)
+                reference = session_block_reference(session, "denoise", image, result)
                 assert_parity({"scalar": reference, "cluster": result}, context=f"frame {index}")
             # The survivor served each frame exactly once; the dead shard's
             # chunk shows up in the requeue counter, not in served frames.

@@ -168,22 +168,25 @@ class TestSelection:
 
 
 class TestNumpyFallbackRouting:
-    """Satellite: the chunked-conv scalar fallback routes through the registry.
+    """Satellite: the block flow and its scalar reference route through the registry.
 
     With numba force-disabled, auto-selection lands on the numpy oracle and
-    both block-flow paths (scalar one-block-at-a-time and block-parallel
-    batched) call *its* conv kernels — pinned by counting calls on the
-    registered singleton — and produce bit-identical pixels.
+    both the scalar per-block reference (``network.forward`` per window)
+    and the block-parallel executor call *its* conv kernels — pinned by
+    counting calls on the registered singleton — and produce bit-identical
+    pixels.  The executor only ever takes the batched kernel.
     """
 
-    def test_scalar_and_batched_paths_route_through_numpy_set(self, monkeypatch):
+    def test_scalar_and_batched_paths_route_through_numpy_set(
+        self, monkeypatch, scalar_block_reference
+    ):
         monkeypatch.setenv("REPRO_KERNELS_DISABLE", "numba")
         select_kernel_set("auto")
         assert active_kernel_set().name == "numpy"
 
         network = build_plain_network(3, 4, seed=11)
         image = synthetic_image(20, 23, seed=11)
-        baseline, _ = block_based_inference(network, image, 8, parallel=False)
+        baseline, _ = block_based_inference(network, image, 8)
 
         numpy_set = kernel_set("numpy")
         calls = {"conv2d": 0, "conv2d_batch": 0}
@@ -201,17 +204,16 @@ class TestNumpyFallbackRouting:
         monkeypatch.setattr(numpy_set, "conv2d", counting_conv2d)
         monkeypatch.setattr(numpy_set, "conv2d_batch", counting_batch)
 
-        scalar, _ = block_based_inference(network, image, 8, parallel=False)
+        scalar = scalar_block_reference(network, image, 8)
         assert calls["conv2d"] > 0
         assert calls["conv2d_batch"] == 0
         scalar_convs = calls["conv2d"]
 
-        # The parallel path fuses same-shaped groups through conv2d_batch
-        # (singleton groups may legitimately take the scalar kernel — both
-        # live in the same registered set either way).
-        batched, _ = block_based_inference(network, image, 8, parallel=True)
+        # The executor runs every group, singletons included, through
+        # conv2d_batch.
+        batched, _ = block_based_inference(network, image, 8)
         assert calls["conv2d_batch"] > 0
-        assert calls["conv2d"] >= scalar_convs
+        assert calls["conv2d"] == scalar_convs
 
         assert np.array_equal(scalar.data, baseline.data)
         assert np.array_equal(batched.data, baseline.data)
@@ -252,9 +254,9 @@ class TestSessionPlumbing:
         session = Session(backend="ecnn", cache=ResultCache(), kernels="numpy")
         entry = session.workload("denoise")
         frame = synthetic_image(24, 24, seed=3)
-        key_numpy = session._frame_key(entry, frame, True)
+        key_numpy = session._frame_key(entry, frame)
         session.kernels = "other-set"
-        assert session._frame_key(entry, frame, True) != key_numpy
+        assert session._frame_key(entry, frame) != key_numpy
 
 
 class TestCli:

@@ -5,8 +5,9 @@ accepted with bit-identical A/B verification against the path it replaced.
 This harness generalizes those hand-picked A/B checks into a seeded
 randomized sweep: each seed draws shapes, channel counts, network
 geometries and Q-formats, then drives the same pixels through every tier —
-scalar layer kernels vs fused ``forward_batch``, scalar block flow vs
-block-parallel grouping, quantized deployments, and the session / engine /
+scalar layer kernels vs fused ``forward_batch``, the per-block reference
+(``conftest.scalar_block_reference``) vs block-parallel grouping, quantized
+deployments, and the session / engine /
 sharded-cluster serving stack — asserting exact equality with the shared
 :func:`conftest.assert_parity` helper.
 
@@ -159,7 +160,9 @@ class TestRandomizedKernels:
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestRandomizedBlockFlow:
-    def test_random_geometry_scalar_vs_parallel(self, seed, assert_parity):
+    def test_random_geometry_scalar_vs_parallel(
+        self, seed, assert_parity, scalar_block_reference
+    ):
         rng = np.random.default_rng(2000 + seed)
         depth = int(rng.integers(2, 5))
         width = int(rng.integers(4, 11))
@@ -168,13 +171,8 @@ class TestRandomizedBlockFlow:
         image_width = int(rng.integers(24, 44))
         output_block = int(rng.integers(8, 15))
         image = synthetic_image(height, image_width, seed=seed)
-        scalar, scalar_grid = block_based_inference(
-            network, image, output_block=output_block, parallel=False
-        )
-        fused, fused_grid = block_based_inference(
-            network, image, output_block=output_block, parallel=True
-        )
-        assert fused_grid.num_blocks == scalar_grid.num_blocks
+        scalar = scalar_block_reference(network, image, output_block)
+        fused, _ = block_based_inference(network, image, output_block=output_block)
         assert_parity(
             {"scalar": scalar, "block_parallel": fused},
             context=f"seed={seed} {height}x{image_width} block={output_block}",
@@ -184,7 +182,9 @@ class TestRandomizedBlockFlow:
         reference = frame_based_inference(network, image)
         assert np.allclose(fused.data, reference.data)
 
-    def test_random_qformat_quantized_parity(self, seed, assert_parity):
+    def test_random_qformat_quantized_parity(
+        self, seed, assert_parity, scalar_block_reference
+    ):
         rng = np.random.default_rng(3000 + seed)
         network = build_plain_network(int(rng.integers(2, 4)), int(rng.integers(4, 9)), seed=seed)
         bits = int(rng.choice([6, 7, 8]))
@@ -199,8 +199,8 @@ class TestRandomizedBlockFlow:
         image = synthetic_image(int(rng.integers(24, 40)), int(rng.integers(24, 40)), seed=seed)
         assert_parity(
             {
-                "scalar": pipeline.run(image, parallel=False),
-                "block_parallel": pipeline.run(image, parallel=True),
+                "scalar": scalar_block_reference(network, image, pipeline.output_block),
+                "block_parallel": pipeline.run(image),
             },
             context=f"seed={seed} Q bits={bits}/{feature_bits}",
         )
@@ -214,10 +214,12 @@ class TestPostChaosParity:
     pixel workload, serve it through a fresh inline cluster, kill the
     owning shard (twice — down to the last survivor), and hold every
     surviving shard's ``execute_frame`` output to ``assert_parity``
-    against the scalar single-process reference.
+    against the scalar per-block reference.
     """
 
-    def test_survivors_bit_identical_after_each_worker_death(self, seed, assert_parity):
+    def test_survivors_bit_identical_after_each_worker_death(
+        self, seed, assert_parity, session_block_reference
+    ):
         rng = np.random.default_rng(5000 + seed)
         workload = str(rng.choice(sorted(PIXEL_WORKLOADS)))
         low, high = PIXEL_WORKLOADS[workload]
@@ -227,9 +229,10 @@ class TestPostChaosParity:
         width = int(rng.integers(low, high)) // 4 * 4
         image = synthetic_image(height, width, seed=seed)
         session = Session(backend="ecnn", cache=ResultCache())
-        reference = session.execute(workload, image, parallel=False, cached=False)
+        fresh = session.execute(workload, image, cached=False)
+        reference = session_block_reference(session, workload, image, fresh)
         with ServingCluster(workers=3, backend="ecnn", mode="inline") as chaos_cluster:
-            outputs = {"scalar_reference": reference}
+            outputs = {"scalar_reference": reference, "session": fresh}
             outputs["before_chaos"] = chaos_cluster.execute_frame(
                 workload, image, cached=False
             )
@@ -287,14 +290,14 @@ class TestRandomizedVideoStreams:
 
     For every seed, workload and motion model, each frame served through
     the video-stream tier (session and sharded cluster, exact-reuse mode at
-    the default block geometry) must equal the scalar and block-parallel
-    full re-inference of that same frame — reuse is an optimization, never
+    the default block geometry) must equal the scalar per-block reference
+    and the block-parallel full re-inference of that same frame — reuse is an optimization, never
     an approximation.
     """
 
     @pytest.mark.parametrize("kind", VIDEO_KINDS)
     def test_stream_delta_bit_identical_across_tiers(
-        self, seed, kind, cluster, assert_parity
+        self, seed, kind, cluster, assert_parity, session_block_reference
     ):
         rng = np.random.default_rng(6000 + seed)
         workload = str(rng.choice(sorted(PIXEL_WORKLOADS)))
@@ -309,14 +312,11 @@ class TestRandomizedVideoStreams:
         stream_id = f"vid-{seed}-{kind}"
         for index, frame in enumerate(frames):
             served = session.execute_stream(stream_id, workload, frame)
+            fresh = session.execute(workload, frame, cached=False)
             assert_parity(
                 {
-                    "scalar": session.execute(
-                        workload, frame, parallel=False, cached=False
-                    ),
-                    "block_parallel": session.execute(
-                        workload, frame, parallel=True, cached=False
-                    ),
+                    "scalar": session_block_reference(session, workload, frame, fresh),
+                    "block_parallel": fresh,
                     "stream_delta": served.output,
                     "cluster_stream": cluster.execute_stream(
                         stream_id, workload, frame
@@ -333,7 +333,9 @@ class TestRandomizedVideoStreams:
         if kind == "static":
             assert stats.blocks_reused > 0
 
-    def test_thresholded_reuse_error_is_bounded_and_measured(self, seed):
+    def test_thresholded_reuse_error_is_bounded_and_measured(
+        self, seed, session_block_reference
+    ):
         rng = np.random.default_rng(7000 + seed)
         height = int(rng.integers(24, 49))
         width = int(rng.integers(24, 49))
@@ -346,12 +348,12 @@ class TestRandomizedVideoStreams:
         stream = session.video_stream("lossy", "denoise", threshold=threshold)
         stream.submit(base)
         served = stream.submit(noisy)
-        reference_prev = session.execute(
-            "denoise", base, parallel=False, cached=False
-        ).output.data
-        reference_cur = session.execute(
-            "denoise", noisy, parallel=False, cached=False
-        ).output.data
+        fresh_prev = session.execute("denoise", base, cached=False)
+        fresh_cur = session.execute("denoise", noisy, cached=False)
+        reference_prev = session_block_reference(session, "denoise", base, fresh_prev).data
+        reference_cur = session_block_reference(session, "denoise", noisy, fresh_cur).data
+        assert np.array_equal(fresh_prev.output.data, reference_prev)
+        assert np.array_equal(fresh_cur.output.data, reference_cur)
         # Low-amplitude noise reuses everything; the served pixels are the
         # predecessor's exact output, so the error against fresh
         # re-inference is bounded by the drift between the two references —
@@ -437,9 +439,7 @@ class TestKernelSetParity:
             int(rng.integers(24, 40)), int(rng.integers(24, 40)), seed=seed
         )
         fused = _sweep_kernel_sets(
-            lambda: block_based_inference(
-                network, image, output_block=12, parallel=True
-            )[0].data
+            lambda: block_based_inference(network, image, output_block=12)[0].data
         )
         _assert_kernel_tolerance(fused, f"seed={seed} block-parallel flow")
         # The Q-format passes are integer-exact in every set: quantize codes
@@ -456,7 +456,7 @@ class TestKernelSetParity:
                 f"(seed={seed})"
             )
 
-    def test_serving_tiers_across_sets(self, seed):
+    def test_serving_tiers_across_sets(self, seed, session_block_reference):
         rng = np.random.default_rng(8200 + seed)
         height = int(rng.integers(24, 41))
         width = int(rng.integers(24, 41))
@@ -472,21 +472,22 @@ class TestKernelSetParity:
                 cache=ResultCache(),
                 kernels=active_kernel_set().name,
             )
+            fresh = session.execute("denoise", image, cached=False)
             outputs = [
-                session.execute("denoise", image, parallel=False, cached=False),
-                session.execute("denoise", image, parallel=True, cached=False),
+                session_block_reference(session, "denoise", image, fresh).data,
+                fresh.output.data,
             ]
             with ServingCluster(
                 workers=2, backend="ecnn", mode="inline", kernels=session.kernels
             ) as sharded:
                 outputs.append(
-                    sharded.execute_frame("denoise", image, cached=False)
+                    sharded.execute_frame("denoise", image, cached=False).output.data
                 )
             session.execute_stream(f"kp-{seed}", "denoise", image)
             outputs.append(
-                session.execute_stream(f"kp-{seed}", "denoise", moved)
+                session.execute_stream(f"kp-{seed}", "denoise", moved).output.data
             )
-            return np.stack([result.output.data for result in outputs])
+            return np.stack(outputs)
 
         tiers = _sweep_kernel_sets(serve_all_tiers)
         _assert_kernel_tolerance(
@@ -496,7 +497,9 @@ class TestKernelSetParity:
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestRandomizedServingStack:
-    def test_session_engine_cluster_bit_identical(self, seed, engine, cluster, assert_parity):
+    def test_session_engine_cluster_bit_identical(
+        self, seed, engine, cluster, assert_parity, session_block_reference
+    ):
         rng = np.random.default_rng(4000 + seed)
         workload = str(rng.choice(sorted(PIXEL_WORKLOADS)))
         low, high = PIXEL_WORKLOADS[workload]
@@ -504,14 +507,11 @@ class TestRandomizedServingStack:
         width = int(rng.integers(low, high))
         image = synthetic_image(height, width, seed=seed)
         session = Session(backend="ecnn", cache=ResultCache())
+        fresh = session.execute(workload, image, cached=False)
         assert_parity(
             {
-                "session_scalar": session.execute(
-                    workload, image, parallel=False, cached=False
-                ),
-                "session_parallel": session.execute(
-                    workload, image, parallel=True, cached=False
-                ),
+                "session_scalar": session_block_reference(session, workload, image, fresh),
+                "session_parallel": fresh,
                 "engine": engine.execute_frame(workload, image, cached=False),
                 "cluster": cluster.execute_frame(workload, image, cached=False),
                 "cluster_batch": cluster.execute_frames(

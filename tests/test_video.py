@@ -8,10 +8,10 @@ single-pixel mutation at a block center therefore changes exactly one
 block's input window, and :class:`repro.runtime.video.VideoStream` must
 recompute exactly that block — no more, no fewer.
 
-The bit-identity reference for this custom geometry is
-``block_based_inference(network, frame, 16, parallel=False)`` (the parity
-contract is per-geometry; see the module docstring of
-:mod:`repro.runtime.video`).
+The bit-identity reference for this custom geometry is the scalar
+per-block oracle ``scalar_block_reference(network, frame, 16)`` from
+``conftest.py`` (the parity contract is per-geometry; see the module
+docstring of :mod:`repro.runtime.video`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
-from repro.core.blockflow import block_based_inference, partition_image
+from repro.core.blockflow import partition_image
 from repro.nn.tensor import FeatureMap
 from repro.runtime import RESIDUAL_HISTOGRAM_EDGES, ResultCache, VideoStream
 
@@ -56,10 +56,11 @@ def _mutated(frame: FeatureMap, blocks) -> FeatureMap:
     return FeatureMap(data=data, qformat=frame.qformat)
 
 
-def _reference(session: Session, frame: FeatureMap) -> np.ndarray:
+@pytest.fixture
+def reference(session, scalar_block_reference):
+    """Full re-inference pixels of a frame at this module's geometry."""
     network = session.compile("denoise").network
-    output, _ = block_based_inference(network, frame, output_block=BLOCK, parallel=False)
-    return output.data
+    return lambda frame: scalar_block_reference(network, frame, BLOCK).data
 
 
 class TestChangeLocality:
@@ -81,7 +82,7 @@ class TestChangeLocality:
         ids=["center", "two-corners", "diagonal", "plus"],
     )
     def test_mutating_k_blocks_recomputes_exactly_k(
-        self, session, stream, mutated_blocks
+        self, stream, mutated_blocks, reference
     ):
         base = _frame(0)
         stream.submit(base)
@@ -93,9 +94,9 @@ class TestChangeLocality:
         assert result.blocks_reused == GRID_BLOCKS - len(mutated_blocks)
         # Reuse never costs pixels: the stitched frame is bit-identical to
         # full re-inference at the stream's geometry.
-        assert np.array_equal(result.output.data, _reference(session, frame))
+        assert np.array_equal(result.output.data, reference(frame))
 
-    def test_static_sequence_reuses_every_block(self, session, stream):
+    def test_static_sequence_reuses_every_block(self, stream, reference):
         base = _frame(1)
         stream.submit(base)
         for _ in range(3):
@@ -103,16 +104,16 @@ class TestChangeLocality:
             assert result.blocks_reused == GRID_BLOCKS
             assert result.recomputed_blocks == ()
             assert result.residuals == (0.0,) * GRID_BLOCKS
-            assert np.array_equal(result.output.data, _reference(session, base))
+            assert np.array_equal(result.output.data, reference(base))
 
-    def test_scene_cut_invalidates_every_block(self, session, stream):
+    def test_scene_cut_invalidates_every_block(self, stream, reference):
         stream.submit(_frame(2))
         cut = _frame(99)
         result = stream.submit(cut)
         assert result.blocks_reused == 0
         assert result.blocks_recomputed == GRID_BLOCKS
         assert result.residuals is not None and min(result.residuals) > 0.0
-        assert np.array_equal(result.output.data, _reference(session, cut))
+        assert np.array_equal(result.output.data, reference(cut))
 
     def test_invalidate_forces_full_undiffed_recompute(self, stream):
         base = _frame(3)
@@ -133,7 +134,7 @@ class TestChangeLocality:
 
 
 class TestCacheBound:
-    def test_eviction_honors_the_residency_bound(self, session):
+    def test_eviction_honors_the_residency_bound(self, session, reference):
         bound = 4
         stream = session.video_stream(
             "small-cache", "denoise", max_cached_blocks=bound, output_block=BLOCK
@@ -150,7 +151,7 @@ class TestCacheBound:
         result = stream.submit(base)
         assert result.blocks_recomputed > 0
         assert result.blocks_reused == bound
-        assert np.array_equal(result.output.data, _reference(session, base))
+        assert np.array_equal(result.output.data, reference(base))
 
     def test_unbounded_cache_never_evicts(self, session):
         # Through the session API ``None`` means "the default bound";
@@ -218,7 +219,7 @@ class TestStatsReconciliation:
         assert [s.stream_id for s in stats] == ["a", "b"]
         assert all(s.frames == 1 for s in stats)
 
-    def test_thresholded_reuse_reports_measured_residuals(self, session):
+    def test_thresholded_reuse_reports_measured_residuals(self, session, reference):
         stream = session.video_stream(
             "lossy", "denoise", threshold=1e-3, output_block=BLOCK
         )
@@ -236,8 +237,8 @@ class TestStatsReconciliation:
         # The served pixels equal the *predecessor's* reference exactly, so
         # the pixel error against fresh re-inference is bounded by the
         # drift between the two references.
-        ref_prev = _reference(session, base)
-        ref_cur = _reference(session, noisy)
+        ref_prev = reference(base)
+        ref_cur = reference(noisy)
         assert np.array_equal(result.output.data, ref_prev)
         error = np.abs(result.output.data - ref_cur).max()
         assert error <= np.abs(ref_cur - ref_prev).max()
