@@ -48,8 +48,8 @@ Subpackages
     ``repro-soak`` CLI.
 ``repro.hotpath``
     Process-level memoization of deterministic hot paths (catalogue network
-    builds, FBISA compilations, block reports), A/B-toggleable for honest
-    baseline measurements.
+    builds, FBISA compilations, block reports, verifier findings, model
+    analytics), A/B-toggleable for honest baseline measurements.
 """
 
 __version__ = "1.3.0"

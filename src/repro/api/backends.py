@@ -81,11 +81,20 @@ _FBISA_MEMO = hotpath.Memo("fbisa-compilations")
 
 
 def _compile_fbisa(network: Network, block: int):
-    """Compile ``network`` at ``block``, memoized for shared networks."""
-    build = lambda: compile_network(network, input_block=block)  # noqa: E731
-    if hotpath.is_shared(network):
-        return _FBISA_MEMO.get_or_attr(network, block, build)
-    return build()
+    """Compile ``network`` at ``block``, memoized for shared networks.
+
+    The compiled model of a shared network is marked shared too, so its
+    config-free analytics are memoized on it.
+    """
+    if not hotpath.is_shared(network):
+        return compile_network(network, input_block=block)
+
+    def build():
+        model = compile_network(network, input_block=block)
+        model.metadata["shared"] = True
+        return model
+
+    return _FBISA_MEMO.get_or_attr(network, block, build)
 
 
 def _network_scale(network: Network) -> float:
@@ -93,10 +102,13 @@ def _network_scale(network: Network) -> float:
     from repro.baselines.scale_sim import _flatten
     from repro.nn.receptive_field import layer_geometry
 
-    scale = 1.0
-    for layer in _flatten(network):
-        scale *= layer_geometry(layer).scale
-    return scale
+    def build() -> float:
+        scale = 1.0
+        for layer in _flatten(network):
+            scale *= layer_geometry(layer).scale
+        return scale
+
+    return hotpath.MODEL_ANALYTICS.get_if_shared(network, "network-scale", build)
 
 
 def _ops_per_frame(network: Network, spec: RealTimeSpec) -> float:
@@ -302,16 +314,13 @@ class EcnnBackend:
             power_w=power.total,
             load_time_s=self._load_time_s(plan, dram_gb_s),
             peak_tops=scaled.peak_tops,
-            achieved_tops=plan.payload.program.total_macs * 2.0 * fps / 1e12,
+            achieved_tops=plan.payload.macs_per_block * 2.0 * fps / 1e12,
         )
 
     @staticmethod
     def _load_time_s(plan: CompiledPlan, streaming_gb_s: float) -> float:
         """Time to stream the plan's parameter bitstreams in (Fig. 12)."""
-        program = plan.payload.program
-        return parameter_load_time_s(
-            program.total_weights + program.total_biases, streaming_gb_s
-        )
+        return parameter_load_time_s(plan.payload.parameter_bytes, streaming_gb_s)
 
     def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
         pipeline = BlockInferencePipeline(plan.network, input_block=plan.input_block)

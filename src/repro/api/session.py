@@ -258,16 +258,20 @@ class Session:
         """
         return getattr(self.backend, "cache_identity", None)
 
+    def _key_parts(self, entry: RuntimeWorkload) -> tuple:
+        """Backend, workload and configuration parts of this session's keys.
+
+        The eCNN backend's identity is the session configuration itself, so
+        the configuration enters the key once, through the identity.
+        """
+        identity = self._backend_identity()
+        config = None if identity == self.config else self.config
+        return (self.backend_name, identity, entry.identity, config)
+
     def _key(self, kind: str, entry: RuntimeWorkload) -> str:
         from repro.runtime.cache import ResultCache
 
-        return ResultCache.key(
-            "api",
-            kind,
-            self.backend_name,
-            self._backend_identity(),
-            entry.cache_key(self.config),
-        )
+        return ResultCache.key("api", kind, *self._key_parts(entry))
 
     def compile(self, workload_name: str) -> CompiledPlan:
         """Backend-lowered plan for a workload (cached per content address).
@@ -337,13 +341,11 @@ class Session:
         return ResultCache.key(
             "api",
             "frame",
-            self.backend_name,
-            self._backend_identity(),
+            *self._key_parts(entry),
             # Pixel results are kernel-set-addressed: jitted sets agree with
             # numpy only within a documented tolerance, so a frame served
             # under one set must never answer a lookup made under another.
             self.kernels,
-            entry.cache_key(self.config),
             frame.shape,
             frame.data.dtype.str,
             frame.qformat,

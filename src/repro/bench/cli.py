@@ -8,8 +8,12 @@ directory (so successive runs build a perf trajectory: ``BENCH_0.json``,
 ``--compare OLD NEW`` diffs two recorded reports without running anything,
 ``--fail-over PCT`` turns the comparison into a regression gate (non-zero
 exit when any pinned scenario got more than PCT percent slower), and
-``--list`` shows what would run.  See ``docs/performance.md`` for the
-reading guide.
+``--list`` shows what would run.  ``--trajectory BENCH_*.json`` prints
+every scenario's and phase's time across recorded reports, grouped by
+environment, and fails when the newest report holds a time above
+:data:`~repro.bench.harness.TRAJECTORY_FACTOR` times its best earlier
+value (the 400% gate compares with one report only).  See
+``docs/performance.md`` for the reading guide.
 
 The ``soak_chaos`` scenario is the non-blocking full-soak tier: it runs
 the :mod:`repro.soak` harness across worker counts (with mid-run chaos)
@@ -21,14 +25,16 @@ rather than a bench figure set.
 from __future__ import annotations
 
 import argparse
+import re
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.bench.harness import (
     BenchReport,
     compare_reports,
     find_regressions,
     next_output_path,
+    trajectory,
 )
 from repro.bench.scenarios import default_suite, suite_backends
 
@@ -76,6 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
         "both reports regressed by more than PCT percent (best wall time)",
     )
     parser.add_argument(
+        "--trajectory",
+        type=Path,
+        nargs="+",
+        default=None,
+        metavar="BENCH_JSON",
+        help="print each scenario's and phase's time across these reports "
+        "(ordered by the <n> of BENCH_<n>.json) and exit non-zero when the "
+        "newest is over the trajectory factor times its best earlier value",
+    )
+    parser.add_argument(
         "--list",
         action="store_true",
         help="list the suite's scenario ids and exit",
@@ -100,6 +116,29 @@ def _check_regressions(
     return 0
 
 
+def _report_order(path: Path) -> Tuple[float, str]:
+    """Sort key: the ``<n>`` of ``BENCH_<n>.json``, other names after."""
+    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return (int(match.group(1)) if match else float("inf"), path.name)
+
+
+def _check_trajectory(paths: Sequence[Path]) -> int:
+    """Print the trajectory of ``paths``; return 1 when the newest is flagged."""
+    ordered = sorted(paths, key=_report_order)
+    text, flags = trajectory([(path.name, BenchReport.load(path)) for path in ordered])
+    print(text)
+    newest = [flag for flag in flags if flag.report == ordered[-1].name]
+    if flags:
+        print("\nflagged:")
+        for flag in flags:
+            print(f"  {flag.describe()}")
+    if newest:
+        print(f"\n{ordered[-1].name}, the newest report, is flagged")
+        return 1
+    print(f"\n{ordered[-1].name}, the newest report, is not flagged")
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -111,6 +150,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--fail-over needs --compare")
     if args.fail_over is not None and args.fail_over < 0:
         parser.error("--fail-over must be non-negative")
+
+    if args.trajectory is not None:
+        if args.compare is not None or args.scenario or args.list or args.output != "auto":
+            parser.error("--trajectory reads recorded reports only; it takes no other option")
+        return _check_trajectory(args.trajectory)
 
     if args.compare is not None and len(args.compare) == 2:
         # Pure report-to-report mode: nothing runs, nothing is written, so

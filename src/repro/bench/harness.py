@@ -445,3 +445,84 @@ def find_regressions(
         if candidate.regression_pct > threshold_pct:
             regressions.append(candidate)
     return regressions
+
+
+#: ``--trajectory`` flags a scenario or phase time above this multiple of its
+#: best earlier time under the same environment.  Between the committed
+#: reports of one 2-core host, scenarios whose code did not change moved by
+#: up to 2.6x with the host's speed state, while the memoized-compile
+#: regression first recorded in BENCH_4 was 12x.
+TRAJECTORY_FACTOR = 3.0
+
+#: Environment fields under which timings are comparable.  Reports older than
+#: the kernel registry carry no ``kernels`` field and form their own group.
+TRAJECTORY_ENVIRONMENT = ("python", "numpy", "kernels")
+
+
+@dataclass(frozen=True)
+class TrajectoryFlag:
+    """A time above :data:`TRAJECTORY_FACTOR` times its best earlier time."""
+
+    report: str
+    name: str
+    value_s: float
+    best_s: float
+    best_report: str
+
+    def describe(self) -> str:
+        return (
+            f"{self.report}: {self.name} {self.value_s * 1e3:.3f} ms is "
+            f"{self.value_s / self.best_s:.1f}x its best earlier "
+            f"{self.best_s * 1e3:.3f} ms ({self.best_report})"
+        )
+
+
+def _timings(report: BenchReport) -> List[Tuple[str, float]]:
+    """Each scenario's best time followed by its phases' (``scenario:phase``)."""
+    timings: List[Tuple[str, float]] = []
+    for result in report.results:
+        timings.append((result.scenario, result.best_s))
+        timings.extend((f"{result.scenario}:{name}", value) for name, value in result.phases)
+    return timings
+
+
+def trajectory(
+    reports: Sequence[Tuple[str, BenchReport]], factor: float = TRAJECTORY_FACTOR
+) -> Tuple[str, List[TrajectoryFlag]]:
+    """Render labelled reports (oldest first) as time trajectories and flag jumps.
+
+    Reports are grouped by the :data:`TRAJECTORY_ENVIRONMENT` fields; within
+    a group every scenario's best time and every phase's recorded time is
+    compared with its best value in the group's earlier reports, and a
+    value above ``factor`` times that best is flagged (marked ``!``).
+    """
+    groups: Dict[Tuple[str, ...], List[Tuple[str, BenchReport]]] = {}
+    for label, report in reports:
+        environment = dict(report.environment)
+        key = tuple(str(environment.get(name, "-")) for name in TRAJECTORY_ENVIRONMENT)
+        groups.setdefault(key, []).append((label, report))
+    sections: List[str] = []
+    flags: List[TrajectoryFlag] = []
+    for key, members in groups.items():
+        best: Dict[str, Tuple[float, str]] = {}
+        cells: Dict[Tuple[str, str], str] = {}
+        for label, report in members:
+            for name, value in _timings(report):
+                earlier = best.get(name)
+                mark = ""
+                if earlier is not None and earlier[0] > 0 and value > factor * earlier[0]:
+                    flags.append(TrajectoryFlag(label, name, value, *earlier))
+                    mark = " !"
+                cells[(name, label)] = f"{value * 1e3:.3f}{mark}"
+                if earlier is None or value < earlier[0]:
+                    best[name] = (value, label)
+        labels = [label for label, _ in members]
+        environment = ", ".join(f"{name} {value}" for name, value in zip(TRAJECTORY_ENVIRONMENT, key))
+        sections.append(
+            format_table(
+                f"Trajectory ({environment}): ms, ! = over {factor:g}x the best earlier",
+                ["scenario[:phase]"] + labels,
+                [[name] + [cells.get((name, label), "-") for label in labels] for name in best],
+            )
+        )
+    return "\n\n".join(sections), flags

@@ -33,8 +33,12 @@ function of the compiled model.  ``verify_plan`` computes that config-free
 half once per compiled model of a *shared* network per process (the
 ``verifier-findings`` hot-path memo, stored on the model next to the
 ``fbisa-compilations`` entry it came from) and re-runs the config-bound
-half — including :func:`verify_network` — on every call.  The report is the
-same either way: same diagnostics, same order.
+half — including :func:`verify_network` — on every call.  The memoized
+entry also carries the config-free inputs of the capacity and
+parameter-memory checks (each instruction's stored footprint, the raw
+parameter bytes), so per call only their comparison against the
+configuration runs.  The report is the same either way: same diagnostics,
+same order.
 
 Capacity model (ECNN120).  A block buffer stores one 32-channel group
 (:class:`repro.hw.blockbuffer.BlockBuffer`), so the per-operand bound is
@@ -272,20 +276,31 @@ def _check_operand_formats(
             )
 
 
-def _check_capacity(
-    report: CheckReport, program: Program, config: EcnnConfig
-) -> None:
-    cap_pixels = config.block_buffer_kb * 1024 // config.leaf_channels
+def _stored_footprints(program: Program) -> Tuple[float, ...]:
+    """Each instruction's stored pixels per 32-channel group, at base scale."""
+    footprints = []
     scale = 1.0
-    streamed_over = 0
-    for index, instruction in enumerate(program):
+    for instruction in program:
         pixels, factor = _stored_geometry(instruction)
         scale *= factor
         # Upsampled tails stream toward DO at output rate; residency binds
         # at base scale, so normalize the footprint back down.
-        normalized = pixels / max(1.0, scale) ** 2
+        footprints.append(pixels / max(1.0, scale) ** 2)
+    return tuple(footprints)
+
+
+def _check_capacity(
+    report: CheckReport,
+    program: Program,
+    footprints: Tuple[float, ...],
+    config: EcnnConfig,
+) -> None:
+    cap_pixels = config.block_buffer_kb * 1024 // config.leaf_channels
+    streamed_over = 0
+    for index, normalized in enumerate(footprints):
         if normalized <= cap_pixels:
             continue
+        instruction = program.instructions[index]
         if instruction.inference is InferenceType.ZERO_PADDED:
             streamed_over += 1
             continue
@@ -307,9 +322,8 @@ def _check_capacity(
 
 
 def _check_parameter_memory(
-    report: CheckReport, program: Program, config: EcnnConfig
+    report: CheckReport, raw_bytes: int, config: EcnnConfig
 ) -> None:
-    raw_bytes = program.total_weights + program.total_biases  # 8-bit codes
     memory = config.parameter_memory_bytes
     if raw_bytes > memory:
         report.add(
@@ -343,7 +357,8 @@ class _Findings:
     """The config-free diagnostics of one program, in report order.
 
     They sit on either side of the config-bound capacity checks
-    (ECNN120-122), which :func:`_report_program` slots in between.
+    (ECNN120-122), which :func:`_report_program` slots in between, and
+    carry the config-free inputs of those checks.
     """
 
     #: Structural dataflow (ECNN110-114) and operand Q-formats (ECNN150).
@@ -352,6 +367,10 @@ class _Findings:
     tail: Tuple[Diagnostic, ...]
     #: An empty program stops at ECNN113/114: no capacity or dead-code checks.
     empty: bool
+    #: Per-instruction stored footprint at base scale (see :func:`_stored_footprints`).
+    footprints: Tuple[float, ...] = ()
+    #: Raw parameter bytes (8-bit weight and bias codes).
+    parameter_bytes: int = 0
 
 
 def _program_findings(program: Program) -> _Findings:
@@ -378,7 +397,11 @@ def _program_findings(program: Program) -> _Findings:
             location=f"line {index} ({instruction.opcode.value})",
         )
     return _Findings(
-        head=tuple(head.diagnostics), tail=tuple(tail.diagnostics), empty=False
+        head=tuple(head.diagnostics),
+        tail=tuple(tail.diagnostics),
+        empty=False,
+        footprints=_stored_footprints(program),
+        parameter_bytes=program.total_weights + program.total_biases,
     )
 
 
@@ -388,8 +411,8 @@ def _report_program(
     """Add ``findings`` to ``report`` with the config-bound checks slotted in."""
     report.diagnostics.extend(findings.head)
     if not findings.empty:
-        _check_capacity(report, program, config)
-        _check_parameter_memory(report, program, config)
+        _check_capacity(report, program, findings.footprints, config)
+        _check_parameter_memory(report, findings.parameter_bytes, config)
     report.diagnostics.extend(findings.tail)
 
 

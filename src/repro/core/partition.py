@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro import hotpath
 from repro.core.overheads import general_ncr, intrinsic_macs_per_output_pixel
 from repro.nn.layers import Conv2d, Layer
 from repro.nn.network import Sequential
@@ -67,13 +68,23 @@ def partition_into_submodels(
     The split points are chosen to balance the per-sub-model margin (depth),
     which is what controls the recomputation overhead.  The returned plan
     reports the per-piece and combined NCR and the extra DRAM traffic.
+    A shared network's plans are computed once per process.
     """
     if num_submodels < 1:
         raise ValueError("num_submodels must be >= 1")
-    layers = list(network.layers)
-    if num_submodels > len(layers):
+    if num_submodels > len(network.layers):
         raise ValueError("cannot split into more sub-models than layers")
+    return hotpath.MODEL_ANALYTICS.get_if_shared(
+        network,
+        ("submodels", num_submodels, input_block, feature_bits),
+        lambda: _partition(network, num_submodels, input_block, feature_bits),
+    )
 
+
+def _partition(
+    network: Sequential, num_submodels: int, input_block: int, feature_bits: int
+) -> SubModelPlan:
+    layers = list(network.layers)
     margins = [layer_geometry(layer).margin for layer in layers]
     total_margin = sum(margins)
     target = total_margin / num_submodels

@@ -24,11 +24,12 @@ by the bitstream packer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import hotpath
 from repro.fbisa.isa import (
     BlockBufferId,
     FeatureOperand,
@@ -93,6 +94,27 @@ class CompiledModel:
     semantics: List[InstructionSemantics]
     parameters: List[Optional[InstructionParameters]]
     input_block: int
+    #: ``shared=True`` marks the compiled model of a shared network (see
+    #: :func:`repro.hotpath.is_shared`): it is frozen by the same contract,
+    #: so config-free analytics may be memoized on it.
+    metadata: Dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def macs_per_block(self) -> int:
+        """MACs the program executes per block (memoized when shared)."""
+        return hotpath.MODEL_ANALYTICS.get_if_shared(
+            self, "macs-per-block", lambda: self.program.total_macs
+        )
+
+    @property
+    def parameter_bytes(self) -> int:
+        """Raw parameter footprint: one byte per weight and bias code
+        (memoized when shared)."""
+        return hotpath.MODEL_ANALYTICS.get_if_shared(
+            self,
+            "parameter-bytes",
+            lambda: self.program.total_weights + self.program.total_biases,
+        )
 
     def execute_block(self, block: FeatureMap) -> FeatureMap:
         """Execute the compiled program functionally on one input block.

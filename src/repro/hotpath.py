@@ -4,10 +4,12 @@ The runtime's :class:`~repro.runtime.cache.ResultCache` content-addresses
 *answers* (profiles, plans, costs) per cache instance; this module memoizes
 the deterministic *inputs* those answers are computed from — catalogue
 network builds, FBISA compilations of shared networks, per-program block
-reports, the config-free verifier findings of compiled models — which every
-fresh cache or session otherwise recomputes from scratch.  The two layers compose: the ResultCache makes a question free the
-second time *one session* asks it, the hot-path memos make the underlying
-construction free the second time *any* session in the process needs it.
+reports, the config-free verifier findings of compiled models, the
+config-free model analytics (:data:`MODEL_ANALYTICS`) — which every fresh
+cache or session otherwise recomputes from scratch.  The two layers
+compose: the ResultCache makes a question free the second time *one
+session* asks it, the hot-path memos make the underlying construction free
+the second time *any* session in the process needs it.
 
 Every memo registers itself here so that
 
@@ -112,6 +114,15 @@ class Memo:
         store[key] = value
         return value
 
+    def get_if_shared(self, obj: Any, key: Hashable, build: Callable[[], T]) -> T:
+        """:meth:`get_or_attr` when ``obj`` is shared (see :func:`is_shared`).
+
+        Any other object may still change, so its value is built afresh.
+        """
+        if is_shared(obj):
+            return self.get_or_attr(obj, key, build)
+        return build()
+
     def clear(self) -> None:
         """Drop keyed entries and reset counters (attr stores die with their objects)."""
         self._entries.clear()
@@ -137,6 +148,16 @@ def is_shared(obj: Any) -> bool:
     from their contents.
     """
     return bool((getattr(obj, "metadata", {}) or {}).get("shared"))
+
+
+#: The config-free analytics of shared networks and of their compiled models:
+#: NCR, NBR and output size per input block, intrinsic complexity, net
+#: resolution scale, sub-model splits and program totals.  A design-point
+#: profile asks for them under every configuration, yet they depend only on
+#: the network (and the input block), so each is computed once per process.
+#: Consulted from ``core``, ``models``, ``hw`` and ``api``, hence registered
+#: here rather than in one owning module.
+MODEL_ANALYTICS = Memo("model-analytics")
 
 
 def memo(name: str) -> Memo:

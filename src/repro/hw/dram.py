@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro import hotpath
 from repro.core.overheads import general_nbr
 from repro.nn.network import Sequential
 from repro.specs import RealTimeSpec
@@ -83,13 +84,19 @@ def dram_traffic(
         from repro.hw.performance import recommended_input_block
 
         input_block = recommended_input_block(network)
-    nbr = general_nbr(
-        network.layers,
-        input_block,
-        in_channels=3,
-        out_channels=3,
-        in_bits=int(bytes_per_pixel_in * 8 / 3),
-        out_bits=int(bytes_per_pixel_out * 8 / 3),
+    in_bits = int(bytes_per_pixel_in * 8 / 3)
+    out_bits = int(bytes_per_pixel_out * 8 / 3)
+    nbr = hotpath.MODEL_ANALYTICS.get_if_shared(
+        network,
+        ("nbr", input_block, in_bits, out_bits),
+        lambda: general_nbr(
+            network.layers,
+            input_block,
+            in_channels=3,
+            out_channels=3,
+            in_bits=in_bits,
+            out_bits=out_bits,
+        ),
     )
     output_bytes_per_second = spec.pixel_rate * bytes_per_pixel_out
     bandwidth = nbr * output_bytes_per_second / 1e9

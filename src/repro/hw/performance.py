@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import hotpath
 from repro.core.overheads import general_ncr
 from repro.fbisa.compiler import CompiledModel, compile_network
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
@@ -119,7 +120,9 @@ def evaluate_performance(
     processor.load(model)
     report = processor.block_report()
 
-    output_block = output_size_valid(block, network.layers)
+    output_block = hotpath.MODEL_ANALYTICS.get_if_shared(
+        network, ("output-block", block), lambda: output_size_valid(block, network.layers)
+    )
     blocks_x = -(-spec.width // output_block)
     blocks_y = -(-spec.height // output_block)
     effective_blocks = spec.pixels_per_frame / (output_block * output_block)
@@ -133,7 +136,9 @@ def evaluate_performance(
         effective_blocks_per_frame=effective_blocks,
         cycles_per_block=report.pipelined_cycles,
         clock_hz=config.clock_hz,
-        ncr=general_ncr(network.layers, block),
+        ncr=hotpath.MODEL_ANALYTICS.get_if_shared(
+            network, ("ncr", block), lambda: general_ncr(network.layers, block)
+        ),
         peak_tops=config.peak_tops,
-        macs_per_block=model.program.total_macs,
+        macs_per_block=model.macs_per_block,
     )

@@ -147,7 +147,7 @@ class EcnnProcessor:
         parameter memory even after entropy coding; models that fit only with
         compression (e.g. SR4ERNet for HD30) load fine, matching Table 5.
         """
-        parameter_bytes = model.program.total_weights + model.program.total_biases
+        parameter_bytes = model.parameter_bytes
         limit = self.config.parameter_memory_bytes * self._MAX_COMPRESSION
         if parameter_bytes > limit:
             raise ValueError(

@@ -9,6 +9,8 @@ intrinsic cost excludes block-overlap recomputation; the effective cost is
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro import hotpath
 from repro.core.overheads import general_ncr, intrinsic_macs_per_output_pixel
 from repro.nn.layers import Conv2d
 from repro.nn.network import Sequential, iter_conv_layers
@@ -20,8 +22,11 @@ OPS_PER_MAC = 2.0
 
 def kop_per_pixel(network: Sequential) -> float:
     """Intrinsic complexity of ``network`` in KOP per output pixel."""
-    macs = intrinsic_macs_per_output_pixel(network.layers)
-    return macs * OPS_PER_MAC / 1e3
+    return hotpath.MODEL_ANALYTICS.get_if_shared(
+        network,
+        "kop-per-pixel",
+        lambda: intrinsic_macs_per_output_pixel(network.layers) * OPS_PER_MAC / 1e3,
+    )
 
 
 def parameter_count(network: Sequential) -> int:

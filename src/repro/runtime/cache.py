@@ -20,18 +20,59 @@ from typing import Any, Callable, Optional, TypeVar
 T = TypeVar("T")
 
 
+#: Instance attribute holding the canonical form of a deeply immutable frozen
+#: dataclass (see :func:`_canonical`).
+_CANONICAL_ATTR = "_canonical_form"
+
+
+#: Exact types whose values are their own canonical form.
+_PLAIN = (str, int, bool, type(None))
+
+
+def _immutable(value: Any) -> bool:
+    """Whether ``value`` can never change: a primitive, a tuple of immutables,
+    or a frozen dataclass whose canonical form :func:`_canonical` stored."""
+    kind = type(value)
+    if kind in _PLAIN or kind is float:
+        return True
+    if kind is tuple:
+        return all(_immutable(item) for item in value)
+    return _CANONICAL_ATTR in getattr(value, "__dict__", ())
+
+
 def _canonical(value: Any) -> Any:
     """A hashable, order-independent canonical form of ``value``.
 
     Dataclass instances flatten to ``(class name, (field, value)...)``,
     mappings sort by key, sequences canonicalize element-wise and floats use
     ``repr`` so the digest is exact (no formatting-precision aliasing).
+
+    Key parts such as :class:`~repro.hw.config.EcnnConfig` recur in every
+    key, so a frozen dataclass whose fields are all immutable stores its
+    form on the instance and is walked once.  Instances holding a list or
+    dict (which can change under a frozen dataclass) or without a
+    ``__dict__`` are walked on every call.
     """
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is float:
+        return ("float", repr(value))
+    if kind is tuple or kind is list:
+        return tuple(_canonical(item) for item in value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__name__,) + tuple(
-            (field.name, _canonical(getattr(value, field.name)))
-            for field in dataclasses.fields(value)
-        )
+        state = getattr(value, "__dict__", None)
+        if state is not None and _CANONICAL_ATTR in state:
+            return state[_CANONICAL_ATTR]
+        fields = [(field.name, getattr(value, field.name)) for field in dataclasses.fields(value)]
+        form = (kind.__name__,) + tuple((name, _canonical(item)) for name, item in fields)
+        if (
+            state is not None
+            and kind.__dataclass_params__.frozen
+            and all(_immutable(item) for _, item in fields)
+        ):
+            state[_CANONICAL_ATTR] = form
+        return form
     if isinstance(value, dict):
         return tuple(sorted((str(key), _canonical(item)) for key, item in value.items()))
     if isinstance(value, (list, tuple)):
@@ -40,16 +81,16 @@ def _canonical(value: Any) -> Any:
         return ("float", repr(value))
     if isinstance(value, (str, int, bool)) or value is None:
         return value
-    if type(value).__repr__ is object.__repr__:
+    if kind.__repr__ is object.__repr__:
         # The default repr embeds the object's address: hashing it would make
         # the key identity-based (equal values never share an entry, and a
         # recycled address could alias two different objects).  Content
         # addressing must be exact, so refuse rather than mis-key.
         raise TypeError(
-            f"cannot content-address {type(value).__name__!r}: it has no "
+            f"cannot content-address {kind.__name__!r}: it has no "
             "value-based repr (use a dataclass or a primitive key part)"
         )
-    return ("repr", type(value).__name__, repr(value))
+    return ("repr", kind.__name__, repr(value))
 
 
 def fingerprint(*parts: Any) -> str:

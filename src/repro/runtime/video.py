@@ -298,7 +298,10 @@ class VideoStream:
                 )
         for index, result in zip(recomputed, fresh):
             pieces.append((grid.blocks[index], result))
-            self._cache[index] = result
+            # ``result`` is a view into its whole group's batch output; a
+            # copy keeps one cached block from pinning every sibling, so the
+            # residency bound bounds memory.
+            self._cache[index] = result.with_data(result.data.copy())
             self._cache.move_to_end(index)
             if self.max_cached_blocks is not None:
                 while len(self._cache) > self.max_cached_blocks:

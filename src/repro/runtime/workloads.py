@@ -152,14 +152,23 @@ class RuntimeWorkload:
             return config, 128
         return config, recommended_input_block(network, config)
 
-    def cache_key(self, config: EcnnConfig) -> str:
-        """Content address of this workload's profile under ``config``."""
+    @property
+    def identity(self) -> tuple:
+        """Key parts naming this workload's network and operating point.
+
+        With a hardware configuration they content-address everything
+        derived from the workload (see :meth:`cache_key`).
+        """
         model_identity = (
             PAPER_MODELS[self.task][self.spec_name]
             if self.kind == "ernet"
             else (self.kind, "seed", 0)
         )
-        return ResultCache.key("workload-profile", self.name, self.kind, model_identity, config, self.spec)
+        return (self.name, self.kind, model_identity, self.spec)
+
+    def cache_key(self, config: EcnnConfig) -> str:
+        """Content address of this workload's profile under ``config``."""
+        return ResultCache.key("workload-profile", self.identity, config)
 
     def profile(
         self,

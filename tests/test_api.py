@@ -3,9 +3,12 @@ and cross-backend sweeps."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro import hotpath
 from repro.analysis.sweeps import cross_backend_sweep
 from repro.analysis.workloads import synthetic_image
 from repro.api import (
@@ -20,12 +23,14 @@ from repro.api import (
     unregister_backend,
 )
 from repro.hw.area_power import area_report, power_report
-from repro.hw.config import DEFAULT_CONFIG
+from repro.check import PlanVerificationError
+from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.hw.dram import dram_traffic
 from repro.hw.performance import evaluate_performance
 from repro.models.ernet import PAPER_MODELS, build_ernet
-from repro.runtime import ResultCache, ServingEngine, workload
+from repro.runtime import ResultCache, ServingEngine, fingerprint, workload
 from repro.runtime.cli import main as cli_main
+from repro.runtime.workloads import RuntimeWorkload
 from repro.specs import SPECIFICATIONS
 
 
@@ -270,3 +275,108 @@ class TestPixelBackendMatrix:
         repeat = engine.execute_frame("denoise", self._IMAGE)
         assert repeat.output.data.tobytes() == served.output.data.tobytes()
         assert engine.frame_cache_stats.hits >= 1
+
+
+# ----------------------------------------------------------- design points
+class TestDesignPointMemos:
+    """Memoized analytics and key canonicalization never change an answer."""
+
+    WORKLOADS = ("denoise", "super_resolution", "style_transfer", "recognition")
+    #: Default, the design grid's corners and two 384 KB points whose
+    #: 128-px blocks do not fit a block buffer (ECNN120).
+    CONFIGS = (
+        DEFAULT_CONFIG,
+        EcnnConfig(block_buffer_kb=384),
+        EcnnConfig(block_buffer_kb=384, num_block_buffers=4, parameter_memory_kb=2576),
+        EcnnConfig(block_buffer_kb=768, num_block_buffers=2),
+        EcnnConfig(parameter_memory_kb=1932, clock_hz=300e6),
+        EcnnConfig(num_block_buffers=4, parameter_memory_kb=2576, clock_hz=200e6),
+    )
+
+    def _verdicts(self, config):
+        verdicts = []
+        for name in self.WORKLOADS:
+            try:
+                verdicts.append(Session(config=config, cache=ResultCache()).profile(name))
+            except PlanVerificationError as exc:
+                verdicts.append(sorted({d.rule_id for d in exc.report.errors}))
+        return verdicts
+
+    def test_profiles_identical_with_memos_disabled_cold_and_warm(self):
+        memo = hotpath.memo("model-analytics")
+        with hotpath.disabled():
+            baseline = [self._verdicts(config) for config in self.CONFIGS]
+        hotpath.clear_all()
+        cold = [self._verdicts(config) for config in self.CONFIGS]
+        before = memo.stats
+        warm = [self._verdicts(config) for config in self.CONFIGS]
+        after = memo.stats
+        assert after.hits > before.hits and after.misses == before.misses
+        assert cold == baseline
+        assert warm == baseline
+        assert baseline[1] == [["ECNN120"]] * 3 + [baseline[0][3]]
+        assert all(isinstance(verdict, PerfProfile) for verdict in baseline[0])
+
+    def test_fresh_networks_never_populate_the_memo(self):
+        memo = hotpath.memo("model-analytics")
+        backend = create_backend("ecnn")
+        before = memo.stats
+        for name in self.WORKLOADS:
+            entry = workload(name)
+            network = entry.build_network()
+            plan = backend.compile(network, entry.spec)
+            backend.profile(plan, entry.spec)
+            assert not hotpath.is_shared(plan.payload)
+            assert "_hotpath_model_analytics" not in vars(network)
+            assert "_hotpath_model_analytics" not in vars(plan.payload)
+        after = memo.stats
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_frozen_dataclass_holding_a_list_is_walked_every_time(self):
+        @dataclass(frozen=True)
+        class Part:
+            values: list
+
+        @dataclass(frozen=True)
+        class Outer:
+            part: Part
+
+        part = Part(values=[1, 2])
+        outer = Outer(part=part)
+        before = (fingerprint(part), fingerprint(outer))
+        part.values.append(3)
+        assert fingerprint(part) != before[0]
+        assert fingerprint(outer) != before[1]
+
+    def test_configs_address_by_content(self):
+        cache = ResultCache()
+        Session(config=EcnnConfig(block_buffer_kb=512), cache=cache).profile("denoise")
+        misses = cache.stats.misses
+        # An equal configuration built separately shares every entry ...
+        Session(config=EcnnConfig(block_buffer_kb=512), cache=cache).profile("denoise")
+        assert cache.stats.misses == misses
+        # ... while 512.0 is a different value from 512, and a different
+        # configuration or backend never shares one.
+        for session in (
+            Session(config=EcnnConfig(block_buffer_kb=512.0), cache=cache),
+            Session(config=EcnnConfig(clock_hz=300e6), cache=cache),
+            Session(backend="frame_based", cache=cache),
+        ):
+            before = cache.stats.misses
+            session.profile("denoise")
+            assert cache.stats.misses > before
+        assert fingerprint(EcnnConfig(block_buffer_kb=512)) != fingerprint(
+            EcnnConfig(block_buffer_kb=512.0)
+        )
+
+    def test_a_different_spec_never_shares_an_entry(self):
+        cache = ResultCache()
+        for spec_name in ("UHD30", "HD30"):
+            entry = RuntimeWorkload(
+                name="denoise", description="", kind="ernet", spec_name=spec_name, task="dn"
+            )
+            session = Session(cache=cache, workloads={"denoise": entry})
+            before = cache.stats.misses
+            profile = session.profile("denoise")
+            assert cache.stats.misses > before
+            assert profile.spec_name == spec_name

@@ -4,6 +4,7 @@ and the hot-path memoization contract it measures."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.bench import (
     run_scenario,
     suite_backends,
 )
-from repro.bench.harness import ScenarioRegression, find_regressions
+from repro.bench.harness import ScenarioRegression, find_regressions, trajectory
 from repro.bench.cli import main as bench_main
 from repro.runtime.cache import ResultCache
 from repro.runtime.workloads import workload
@@ -273,15 +274,70 @@ class TestRegressionEdgeCases:
         assert bench_main(["--compare", str(old), str(new), "--fail-over", "0"]) == 0
 
 
+# ----------------------------------------------------------------- trajectory
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _committed_reports():
+    return sorted(_ROOT.glob("BENCH_[0-9]*.json"), key=lambda p: int(p.stem.split("_")[1]))
+
+
+class TestTrajectory:
+    def test_committed_set_flags_the_compile_regression(self):
+        paths = _committed_reports()
+        _, flags = trajectory([(path.name, BenchReport.load(path)) for path in paths])
+        memoized = [
+            flag
+            for flag in flags
+            if flag.report == "BENCH_4.json" and flag.name == "profile_memoized@ecnn"
+        ]
+        assert len(memoized) == 1
+        assert memoized[0].best_report == "BENCH_1.json"
+        assert memoized[0].value_s == pytest.approx(22.5e-3, abs=0.1e-3)
+        assert memoized[0].best_s == pytest.approx(1.85e-3, abs=0.01e-3)
+
+    def test_cli_exits_zero_on_the_committed_set(self, capsys):
+        paths = [str(path) for path in reversed(_committed_reports())]
+        assert bench_main(["--trajectory", *paths]) == 0
+        out = capsys.readouterr().out
+        assert "BENCH_4.json: profile_memoized@ecnn" in out
+        assert "the newest report, is not flagged" in out
+
+    def test_cli_fails_only_when_the_newest_report_is_flagged(self, tmp_path):
+        times = {"BENCH_0.json": 0.010, "BENCH_1.json": 0.050, "BENCH_2.json": 0.011}
+        for name, best_s in times.items():
+            _report(_result("s@ecnn", best_s)).save(tmp_path / name)
+        paths = [str(tmp_path / name) for name in times]
+        assert bench_main(["--trajectory", *paths]) == 0
+        _report(_result("s@ecnn", 0.031)).save(tmp_path / "BENCH_3.json")
+        assert bench_main(["--trajectory", *paths, str(tmp_path / "BENCH_3.json")]) == 1
+
+    def test_environments_are_compared_only_with_themselves(self):
+        fast = _report(_result("s@ecnn", 0.01))
+        slow = BenchReport(
+            suite="default",
+            results=(_result("s@ecnn", 1.0),),
+            repeats=1,
+            environment=(("python", "other"),),
+        )
+        _, flags = trajectory([("a", fast), ("b", slow)])
+        assert flags == []
+        _, flags = trajectory([("a", fast), ("b", _report(_result("s@ecnn", 1.0)))])
+        assert [flag.report for flag in flags] == ["b"]
+
+
 # ------------------------------------------------------------------- hot path
 class TestHotPathMemos:
     def test_memos_are_registered(self):
+        import repro.check  # noqa: F401  (registers verifier-findings)
+
         names = {memo.name for memo in hotpath.all_memos()}
         assert {
             "catalogue-networks",
             "fbisa-compilations",
             "block-reports",
             "verifier-findings",
+            "model-analytics",
         } <= names
 
     def test_shared_network_is_memoized_and_marked(self):

@@ -170,6 +170,22 @@ class TestCacheBound:
         assert stream.stats.cache_evictions == 0
         assert stream.stats.cache_entries == GRID_BLOCKS
 
+    def test_cached_blocks_own_their_memory(self, session):
+        # One recomputed group's blocks are views into a single batch
+        # output; cached copies keep the bound a bound on bytes.
+        stream = session.video_stream("owned", "denoise", output_block=BLOCK)
+        frame = synthetic_image(96, 96, seed=8)
+        stream.submit(frame)
+        cached = list(stream._cache.values())
+        assert len(cached) == 36
+        assert all(block.data.base is None for block in cached)
+        owners = {}
+        for block in cached:
+            owner = block.data if block.data.base is None else block.data.base
+            owners[id(owner)] = owner.nbytes
+        block_bytes = frame.channels * BLOCK * BLOCK * cached[0].data.dtype.itemsize
+        assert sum(owners.values()) <= len(cached) * block_bytes
+
     def test_bad_configuration_is_rejected(self, session):
         with pytest.raises(ValueError, match="recognition"):
             session.video_stream("cam", "recognition")
