@@ -86,15 +86,13 @@ def _compile_fbisa(network: Network, block: int):
     The compiled model of a shared network is marked shared too, so its
     config-free analytics are memoized on it.
     """
-    if not hotpath.is_shared(network):
-        return compile_network(network, input_block=block)
-
     def build():
         model = compile_network(network, input_block=block)
-        model.metadata["shared"] = True
+        if hotpath.is_shared(network):
+            model.metadata["shared"] = True
         return model
 
-    return _FBISA_MEMO.get_or_attr(network, block, build)
+    return _FBISA_MEMO.get_if_shared(network, block, build)
 
 
 def _network_scale(network: Network) -> float:

@@ -261,11 +261,13 @@ class Session:
     def _key_parts(self, entry: RuntimeWorkload) -> tuple:
         """Backend, workload and configuration parts of this session's keys.
 
-        The eCNN backend's identity is the session configuration itself, so
-        the configuration enters the key once, through the identity.
+        A backend built from the session configuration has that very object
+        as its identity, so the configuration enters the key once, through
+        the identity.  Only the same object is dropped: an equal one (say
+        ``512`` against ``512.0``) still keys apart.
         """
         identity = self._backend_identity()
-        config = None if identity == self.config else self.config
+        config = None if identity is self.config else self.config
         return (self.backend_name, identity, entry.identity, config)
 
     def _key(self, kind: str, entry: RuntimeWorkload) -> str:

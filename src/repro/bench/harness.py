@@ -486,15 +486,13 @@ def _timings(report: BenchReport) -> List[Tuple[str, float]]:
     return timings
 
 
-def trajectory(
-    reports: Sequence[Tuple[str, BenchReport]], factor: float = TRAJECTORY_FACTOR
-) -> Tuple[str, List[TrajectoryFlag]]:
+def trajectory(reports: Sequence[Tuple[str, BenchReport]]) -> Tuple[str, List[TrajectoryFlag]]:
     """Render labelled reports (oldest first) as time trajectories and flag jumps.
 
     Reports are grouped by the :data:`TRAJECTORY_ENVIRONMENT` fields; within
     a group every scenario's best time and every phase's recorded time is
     compared with its best value in the group's earlier reports, and a
-    value above ``factor`` times that best is flagged (marked ``!``).
+    value above :data:`TRAJECTORY_FACTOR` times that best is flagged (marked ``!``).
     """
     groups: Dict[Tuple[str, ...], List[Tuple[str, BenchReport]]] = {}
     for label, report in reports:
@@ -510,7 +508,7 @@ def trajectory(
             for name, value in _timings(report):
                 earlier = best.get(name)
                 mark = ""
-                if earlier is not None and earlier[0] > 0 and value > factor * earlier[0]:
+                if earlier is not None and earlier[0] > 0 and value > TRAJECTORY_FACTOR * earlier[0]:
                     flags.append(TrajectoryFlag(label, name, value, *earlier))
                     mark = " !"
                 cells[(name, label)] = f"{value * 1e3:.3f}{mark}"
@@ -520,7 +518,7 @@ def trajectory(
         environment = ", ".join(f"{name} {value}" for name, value in zip(TRAJECTORY_ENVIRONMENT, key))
         sections.append(
             format_table(
-                f"Trajectory ({environment}): ms, ! = over {factor:g}x the best earlier",
+                f"Trajectory ({environment}): ms, ! = over {TRAJECTORY_FACTOR:g}x the best earlier",
                 ["scenario[:phase]"] + labels,
                 [[name] + [cells.get((name, label), "-") for label in labels] for name in best],
             )

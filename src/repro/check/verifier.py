@@ -100,8 +100,8 @@ _CLIP_SLACK = 1e-9
 #: Process-level memo of the config-free findings of compiled models of
 #: *shared* networks.  Entries live on the
 #: :class:`~repro.fbisa.compiler.CompiledModel` itself
-#: (:meth:`repro.hotpath.Memo.get_or_attr`); plans of fresh (mutable)
-#: networks are always re-analysed.
+#: (:meth:`repro.hotpath.Memo.get_if_shared`); compiled models of fresh
+#: (mutable) networks carry no ``shared`` marker and are always re-analysed.
 _FINDINGS_MEMO = hotpath.Memo("verifier-findings")
 
 
@@ -369,8 +369,6 @@ class _Findings:
     empty: bool
     #: Per-instruction stored footprint at base scale (see :func:`_stored_footprints`).
     footprints: Tuple[float, ...] = ()
-    #: Raw parameter bytes (8-bit weight and bias codes).
-    parameter_bytes: int = 0
 
 
 def _program_findings(program: Program) -> _Findings:
@@ -401,18 +399,25 @@ def _program_findings(program: Program) -> _Findings:
         tail=tuple(tail.diagnostics),
         empty=False,
         footprints=_stored_footprints(program),
-        parameter_bytes=program.total_weights + program.total_biases,
     )
 
 
 def _report_program(
-    report: CheckReport, program: Program, findings: _Findings, config: EcnnConfig
+    report: CheckReport,
+    program: Program,
+    findings: _Findings,
+    parameter_bytes: int,
+    config: EcnnConfig,
 ) -> None:
-    """Add ``findings`` to ``report`` with the config-bound checks slotted in."""
+    """Add ``findings`` to ``report`` with the config-bound checks slotted in.
+
+    ``parameter_bytes`` is the program's raw parameter footprint (8-bit
+    weight and bias codes).
+    """
     report.diagnostics.extend(findings.head)
     if not findings.empty:
         _check_capacity(report, program, findings.footprints, config)
-        _check_parameter_memory(report, findings.parameter_bytes, config)
+        _check_parameter_memory(report, parameter_bytes, config)
     report.diagnostics.extend(findings.tail)
 
 
@@ -428,7 +433,13 @@ def verify_program(
     (ECNN121) and dead instructions (ECNN140).
     """
     report = CheckReport(subject=f"program:{program.name}")
-    _report_program(report, program, _program_findings(program), config)
+    _report_program(
+        report,
+        program,
+        _program_findings(program),
+        program.total_weights + program.total_biases,
+        config,
+    )
     return report
 
 
@@ -561,10 +572,6 @@ def verify_plan(
     report.extend(verify_network(plan.network, input_block=block, config=base))
     model = plan.payload
     if isinstance(model, CompiledModel):
-        build = lambda: _model_findings(model)  # noqa: E731
-        if hotpath.is_shared(plan.network):
-            findings = _FINDINGS_MEMO.get_or_attr(model, None, build)
-        else:
-            findings = build()
-        _report_program(report, model.program, findings, base)
+        findings = _FINDINGS_MEMO.get_if_shared(model, None, lambda: _model_findings(model))
+        _report_program(report, model.program, findings, model.parameter_bytes, base)
     return report

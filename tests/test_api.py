@@ -369,6 +369,26 @@ class TestDesignPointMemos:
             EcnnConfig(block_buffer_kb=512.0)
         )
 
+    def test_a_backend_config_equal_to_the_session_config_still_keys_apart(self):
+        # 512 == 512.0, so only the backend's own config object may stand in
+        # for the session config in a key.
+        cache = ResultCache()
+        Session(config=EcnnConfig(block_buffer_kb=512), cache=cache).profile("denoise")
+        mixed = Session(
+            backend=create_backend("ecnn", config=EcnnConfig(block_buffer_kb=512)),
+            config=EcnnConfig(block_buffer_kb=512.0),
+            cache=cache,
+        )
+        same = Session(config=EcnnConfig(block_buffer_kb=512), cache=cache)
+        entry = mixed.workload("denoise")
+        for kind in ("plan", "profile"):
+            assert mixed._key(kind, entry) != same._key(kind, entry)
+        frame = synthetic_image(8, 8, seed=1)
+        assert mixed._frame_key(entry, frame) != same._frame_key(entry, frame)
+        before = cache.stats.misses
+        mixed.profile("denoise")
+        assert cache.stats.misses > before
+
     def test_a_different_spec_never_shares_an_entry(self):
         cache = ResultCache()
         for spec_name in ("UHD30", "HD30"):
